@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import DenseTransform, SparseColumnLayout, Transform
-from .core import DistortionSample, InputVector
+from .constructions import SparseColumnLayout, Transform
+from .core import InputVector
 
 # Input vectors handed to distortion() may have been round-tripped through
 # files, so the unit-norm gate is looser than the generators' 1e-12.
@@ -67,22 +67,12 @@ def distortion(transform: Transform, x: InputVector, counter: WorkCounter | None
 
 
 def distortion_batch(
-    transform: Transform,
-    xs: list[InputVector],
-    transform_instance: int = 0,
-    counter: WorkCounter | None = None,
-) -> list[DistortionSample]:
-    """Distortion of each vector in order; element i equals the scalar call.
-
-    ``transform_instance`` tags the resulting samples; ``vector_id`` is the
-    position in ``xs``.
-    """
+    transform: Transform, xs: list[InputVector], counter: WorkCounter | None = None
+) -> np.ndarray:
+    """float64 array of the distortion of each vector in order; element i equals the scalar call."""
     for i, x in enumerate(xs):
         if x.dim != transform.d:
             raise ValueError(
                 f"vector at index {i} has dimension {x.dim}, transform expects d={transform.d}"
             )
-    return [
-        DistortionSample(delta=distortion(transform, x, counter), transform_instance=transform_instance, vector_id=i)
-        for i, x in enumerate(xs)
-    ]
+    return np.array([distortion(transform, x, counter) for x in xs], dtype=np.float64)

@@ -2,8 +2,12 @@
 
 Subcommands: sweep-s, sweep-t, sweep-k, cdf, verify, required-k.  Every
 experiment subcommand writes its CSV to --out plus a JSON run manifest
-(config, seed, version, start time) next to it.  Exit codes: 0 on success,
-1 when `verify` finds failing checks, 2 on invalid arguments.
+(config, seed, version, start time) next to it; the directory of --out
+must exist, which is checked before any sampling.  Exit codes: 0 on
+success, 1 when `verify` finds failing checks, 2 on invalid arguments
+(including a missing output directory), 3 when a transform would exceed
+the memory budget or an output cannot be written.  Errors print one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .constructions import ResourceLimitError
 from .experiments import (
     DEFAULT_K_GRID,
     DEFAULT_S_GRID,
@@ -143,6 +148,9 @@ def cli_main(argv=None) -> int:
 
     started_at = datetime.now(timezone.utc).isoformat()
     try:
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValueError(f"output directory {Path(out).parent} is not an existing directory")
         if args.command == "sweep-s":
             cfg = _build_config(args, k=args.k, s=1, t=args.t)
             s_values = args.s if args.s is not None else [s for s in DEFAULT_S_GRID if s <= cfg.k]
@@ -186,6 +194,9 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ResourceLimitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -10,6 +10,7 @@ application iterates input coordinates and scatters whole columns.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +47,6 @@ class DenseTransform:
     entries: np.ndarray
     kind: ConstructionKind
     seed: SeedSpec | None = None
-    scale_applied: bool = True
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,6 @@ class SparseColumnLayout:
 
 
 Transform = Union[DenseTransform, SparseColumnLayout]
-
-
-def sample_rows_without_replacement(k: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform s-subset of the k rows, sorted ascending (partial Fisher-Yates)."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
-    if s > k:
-        raise ValueError(f"cannot draw {s} distinct rows from {k}")
-    return sample_without_replacement(k, s, rng)
 
 
 def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> Transform:
@@ -168,7 +159,14 @@ def save_transform(transform: Transform, path: str | Path) -> None:
 
 
 def load_transform(path: str | Path) -> Transform:
-    """Read a transform written by :func:`save_transform`."""
+    """Read a transform written by :func:`save_transform`.
+
+    The file is checked before anything is allocated from its header: the
+    payload must have exactly the size the header implies, and a graph
+    layout must hold rows in [0, k), strictly increasing per column, with
+    +-1 signs and 1 <= s <= k.  Any violation raises a one-line ValueError
+    naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -178,16 +176,37 @@ def load_transform(path: str | Path) -> Transform:
             raise ValueError(f"{path}: not a transform file (bad magic {magic!r})")
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        seed = SeedSpec(master, stream) if has_seed else None
-        if kind_code == _KIND_CODES[GraphSparse]:
-            rows = np.frombuffer(fh.read(8 * d * s), dtype="<i8").reshape(d, s).astype(np.int64)
-            signs = np.frombuffer(fh.read(d * s), dtype="<i1").reshape(d, s).astype(np.float64)
-            rows.setflags(write=False)
-            signs.setflags(write=False)
-            return SparseColumnLayout(k=k, d=d, s=s, rows=rows, signs=signs, seed=seed)
-        kind_types = {code: cls for cls, code in _KIND_CODES.items() if cls is not GraphSparse}
+        kind_types = {code: cls for cls, code in _KIND_CODES.items()}
         if kind_code not in kind_types:
             raise ValueError(f"{path}: unknown construction code {kind_code}")
-        entries = np.frombuffer(fh.read(8 * k * d), dtype="<f8").reshape(k, d).astype(np.float64)
-        entries.setflags(write=False)
-        return DenseTransform(k=k, d=d, entries=entries, kind=kind_types[kind_code](), seed=seed)
+        graph = kind_types[kind_code] is GraphSparse
+        if k < 1 or d < 1:
+            raise ValueError(f"{path}: transform shape must be positive, got k={k}, d={d}")
+        if graph and not 1 <= s <= k:
+            raise ValueError(f"{path}: need 1 <= s <= k, got s={s}, k={k}")
+        if not graph and s != 0:
+            raise ValueError(f"{path}: dense transform header has s={s}, expected 0")
+        expected = 9 * d * s if graph else 8 * k * d
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size < expected:
+            raise ValueError(f"{path}: truncated payload of {size} bytes, header needs {expected}")
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes after the payload")
+        payload = fh.read(expected)
+    seed = SeedSpec(master, stream) if has_seed else None
+    if graph:
+        rows = np.frombuffer(payload, dtype="<i8", count=d * s).reshape(d, s).astype(np.int64)
+        signs = np.frombuffer(payload, dtype="<i1", offset=8 * d * s).reshape(d, s)
+        if rows.min() < 0 or rows.max() >= k:
+            raise ValueError(f"{path}: row index outside [0, {k})")
+        if not np.all(np.diff(rows, axis=1) > 0):
+            raise ValueError(f"{path}: row indices of a column are not strictly increasing")
+        if not np.all(np.abs(signs) == 1):
+            raise ValueError(f"{path}: signs must be -1 or +1")
+        signs = signs.astype(np.float64)
+        rows.setflags(write=False)
+        signs.setflags(write=False)
+        return SparseColumnLayout(k=k, d=d, s=s, rows=rows, signs=signs, seed=seed)
+    entries = np.frombuffer(payload, dtype="<f8").reshape(k, d).astype(np.float64)
+    entries.setflags(write=False)
+    return DenseTransform(k=k, d=d, entries=entries, kind=kind_types[kind_code](), seed=seed)

@@ -20,7 +20,7 @@ All floating-point arithmetic is float64 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -142,15 +142,6 @@ class InputVector:
         dense = np.zeros(self.dim)
         dense[self.indices] = self.values
         return dense
-
-
-@dataclass(frozen=True)
-class DistortionSample:
-    """One squared-norm distortion measurement, delta = |Rx|^2 - 1."""
-
-    delta: float
-    transform_instance: int
-    vector_id: int
 
 
 def sample_unit_sphere(d: int, seed: SeedSpec) -> InputVector:

@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,6 @@ class ExperimentConfig:
     s: int = 16
     t: int = 5
     trials: int = 30
-    epsilon: float = 0.5
     master_seed: int = 0
     constructions: tuple[str, ...] = SERIES_KINDS
     probes: tuple[float, ...] = (0.5, 0.99)
@@ -93,8 +93,6 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= t <= d, got t={self.t}, d={self.d}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         unknown = [c for c in self.constructions if c not in SERIES_KINDS]
         if unknown:
             raise ValueError(f"unknown constructions: {unknown}")
@@ -180,21 +178,25 @@ class CheckResult:
 
 
 def _series_kind(name: str, s: int) -> ConstructionKind:
-    if name == "Dense":
-        return DenseGaussian()
-    if name == "Ach":
-        return AchlioptasSparse()
-    if name == "Sparse":
-        return GraphSparse(s)
-    raise ValueError(f"unknown series {name!r}")
+    return {"Dense": DenseGaussian(), "Ach": AchlioptasSparse(), "Sparse": GraphSparse(s)}[name]
 
 
-def _threads() -> int:
-    return max(1, int(os.environ.get("JL_THREADS", "1")))
+def _cell_deltas(
+    cfg: ExperimentConfig, cell_index: int, kind: ConstructionKind, k: int, vectors: list[InputVector]
+) -> np.ndarray:
+    """(trials, n) deltas of one cell; trial i projects with a fresh transform
+    drawn from stream TRANSFORM_ROLE | cell_index << 32 | i."""
+    deltas = np.empty((cfg.trials, len(vectors)))
+    for trial in range(cfg.trials):
+        spec = SeedSpec(cfg.master_seed, _TRANSFORM_ROLE | (cell_index << 32) | trial)
+        deltas[trial] = distortion_batch(sample_transform(kind, k, cfg.d, spec), vectors)
+    return deltas
 
 
-def _run_jobs(jobs):
-    workers = _threads()
+def _run_cells(cfg: ExperimentConfig, cells) -> list[np.ndarray]:
+    """Delta block of each (kind, k, vectors) cell; a cell's position is its seed."""
+    jobs = [partial(_cell_deltas, cfg, ci, kind, k, vectors) for ci, (kind, k, vectors) in enumerate(cells)]
+    workers = max(1, int(os.environ.get("JL_THREADS", "1")))
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -202,61 +204,45 @@ def _run_jobs(jobs):
         return [future.result() for future in futures]
 
 
-def _trial_quantiles(
-    kind: ConstructionKind,
-    k: int,
-    d: int,
-    vectors: list[InputVector],
-    trials: int,
-    probes: tuple[float, ...],
-    master_seed: int,
-    cell_index: int,
-    use_abs: bool,
-):
-    """(trials, probes) quantile matrix plus pooled (sum, sum_sq, count) of delta."""
-    q = np.empty((trials, len(probes)))
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for trial in range(trials):
-        spec = SeedSpec(master_seed, _TRANSFORM_ROLE | (cell_index << 32) | trial)
-        transform = sample_transform(kind, k, d, spec)
-        samples = distortion_batch(transform, vectors, transform_instance=trial)
-        deltas = np.array([sample.delta for sample in samples])
-        values = np.abs(deltas) if use_abs else deltas
-        for pi, probe in enumerate(probes):
-            q[trial, pi] = quantile(values, probe)
-        total += float(deltas.sum())
-        total_sq += float(deltas @ deltas)
-        count += deltas.size
-    return q, total, total_sq, count
-
-
-def _pooled_stats(cell_results) -> tuple[float, float, int]:
-    total = sum(r[1] for r in cell_results)
-    total_sq = sum(r[2] for r in cell_results)
-    count = sum(r[3] for r in cell_results)
+def _pooled_stats(blocks) -> tuple[float, float, int]:
+    """Mean, sample std and count of every delta, summed per trial, then per cell."""
+    total = sum(sum(float(row.sum()) for row in block) for block in blocks)
+    total_sq = sum(sum(float(row @ row) for row in block) for block in blocks)
+    count = sum(block.size for block in blocks)
     mean = total / count
     var = max(0.0, (total_sq - count * mean * mean) / (count - 1)) if count > 1 else 0.0
     return mean, math.sqrt(var), count
 
 
-def _rows_from_matrix(construction, family, axis_value, probes, q, trials):
+def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=False, order=None) -> SweepResult:
+    """Run (construction, family, axis value, kind, k, vectors) cells and reduce them to rows.
+
+    Quantiles are taken per trial (of |delta| when ``use_abs``), then
+    averaged over trials.  ``order`` lists the (cell position, axis value)
+    of each row group; by default every cell once, in cell order.
+    """
+    blocks = _run_cells(cfg, [cell[3:] for cell in cells])
+    quantiles = [
+        np.array([[quantile(deltas, p) for p in cfg.probes] for deltas in (np.abs(b) if use_abs else b)])
+        for b in blocks
+    ]
+    if order is None:
+        order = [(ci, cell[2]) for ci, cell in enumerate(cells)]
     rows = []
-    for pi, probe in enumerate(probes):
-        col = q[:, pi]
-        rows.append(
-            SweepRow(
-                construction=construction,
-                input_family=family,
-                axis_value=axis_value,
-                probe=probe,
-                mean=float(col.mean()),
-                std=float(col.std(ddof=1)) if trials > 1 else 0.0,
-                trials=trials,
-            )
-        )
-    return rows
+    for ci, axis_value in order:
+        for pi, probe in enumerate(cfg.probes):
+            col = quantiles[ci][:, pi]
+            std = float(col.std(ddof=1)) if cfg.trials > 1 else 0.0
+            rows.append(SweepRow(*cells[ci][:2], axis_value, probe, float(col.mean()), std, cfg.trials))
+    mean, std, count = _pooled_stats(blocks)
+    return SweepResult(axis_name, tuple(axis_values), tuple(rows), mean, std, count)
+
+
+def _families(cfg: ExperimentConfig):
+    return [
+        ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
+        ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),
+    ]
 
 
 def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
@@ -270,42 +256,18 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
     for s in s_values:
         if not 1 <= s <= cfg.k:
             raise ValueError(f"sweep value s={s} must satisfy 1 <= s <= k={cfg.k}")
-    families = [
-        ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
-        ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),
-    ]
-
     cells = []
-    for family, vectors in families:
-        for s in s_values:
-            cells.append(("Sparse", family, s, GraphSparse(s), vectors))
-        cells.append(("Ach", family, None, AchlioptasSparse(), vectors))
-    results = _run_jobs(
-        [
-            lambda ci=ci, cell=cell: _trial_quantiles(
-                cell[3], cfg.k, cfg.d, cell[4], cfg.trials, cfg.probes, cfg.master_seed, ci, False
-            )
-            for ci, cell in enumerate(cells)
-        ]
-    )
-
-    by_key = {(c[0], c[1], c[2]): r for c, r in zip(cells, results)}
-    rows = []
-    for construction in ("Sparse", "Ach"):
-        for family, _ in families:
-            for s in s_values:
-                key = (construction, family, s if construction == "Sparse" else None)
-                q = by_key[key][0]
-                rows.extend(_rows_from_matrix(construction, family, s, cfg.probes, q, cfg.trials))
-    mean, std, count = _pooled_stats(results)
-    return SweepResult(
-        axis_name="s",
-        axis_values=s_values,
-        rows=tuple(rows),
-        pooled_mean=mean,
-        pooled_std=std,
-        pooled_count=count,
-    )
+    for family, vectors in _families(cfg):
+        cells += [("Sparse", family, s, GraphSparse(s), cfg.k, vectors) for s in s_values]
+        cells.append(("Ach", family, None, AchlioptasSparse(), cfg.k, vectors))
+    position = {cell[:3]: ci for ci, cell in enumerate(cells)}
+    order = [
+        (position[construction, family, s if construction == "Sparse" else None], s)
+        for construction in ("Sparse", "Ach")
+        for family in ("dense", "sparse")
+        for s in s_values
+    ]
+    return _sweep(cfg, "s", s_values, cells, order=order)
 
 
 def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
@@ -323,33 +285,12 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
         t: sample_sparse_unit_batch(cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
         for ti, t in enumerate(t_values)
     }
-
-    cells = []
-    for construction in ("Sparse", "Ach"):
-        kind = _series_kind(construction, cfg.s)
-        for t in t_values:
-            cells.append((construction, t, kind, vector_sets[t]))
-    results = _run_jobs(
-        [
-            lambda ci=ci, cell=cell: _trial_quantiles(
-                cell[2], cfg.k, cfg.d, cell[3], cfg.trials, cfg.probes, cfg.master_seed, ci, False
-            )
-            for ci, cell in enumerate(cells)
-        ]
-    )
-
-    rows = []
-    for (construction, t, _, _), (q, *_rest) in zip(cells, results):
-        rows.extend(_rows_from_matrix(construction, "sparse", t, cfg.probes, q, cfg.trials))
-    mean, std, count = _pooled_stats(results)
-    return SweepResult(
-        axis_name="t",
-        axis_values=t_values,
-        rows=tuple(rows),
-        pooled_mean=mean,
-        pooled_std=std,
-        pooled_count=count,
-    )
+    cells = [
+        (construction, "sparse", t, _series_kind(construction, cfg.s), cfg.k, vector_sets[t])
+        for construction in ("Sparse", "Ach")
+        for t in t_values
+    ]
+    return _sweep(cfg, "t", t_values, cells)
 
 
 def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
@@ -360,83 +301,33 @@ def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
             raise ValueError(f"sweep value k={k} must be positive")
         if "Sparse" in cfg.constructions and k < cfg.s:
             raise ValueError(f"sweep value k={k} is below the column sparsity s={cfg.s}")
-    families = [
-        ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
-        ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),
+    families = _families(cfg)
+    cells = [
+        (construction, family, k, _series_kind(construction, cfg.s), k, vectors)
+        for construction in cfg.constructions
+        for family, vectors in families
+        for k in k_values
     ]
-
-    cells = []
-    for construction in cfg.constructions:
-        kind = _series_kind(construction, cfg.s)
-        for family, vectors in families:
-            for k in k_values:
-                cells.append((construction, family, k, kind, vectors))
-    results = _run_jobs(
-        [
-            lambda ci=ci, cell=cell: _trial_quantiles(
-                cell[3], cell[2], cfg.d, cell[4], cfg.trials, cfg.probes, cfg.master_seed, ci, True
-            )
-            for ci, cell in enumerate(cells)
-        ]
-    )
-
-    rows = []
-    for (construction, family, k, _, _), (q, *_rest) in zip(cells, results):
-        rows.extend(_rows_from_matrix(construction, family, k, cfg.probes, q, cfg.trials))
-    mean, std, count = _pooled_stats(results)
-    return SweepResult(
-        axis_name="k",
-        axis_values=k_values,
-        rows=tuple(rows),
-        pooled_mean=mean,
-        pooled_std=std,
-        pooled_count=count,
-    )
+    return _sweep(cfg, "k", k_values, cells, use_abs=True)
 
 
 def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec()) -> CdfResult:
     """Pooled distortion CDF per construction on sparse inputs (t = cfg.t)."""
     vectors = sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
-
-    def pooled_deltas(construction: str, cell_index: int) -> np.ndarray:
-        kind = _series_kind(construction, cfg.s)
-        chunks = []
-        for trial in range(cfg.trials):
-            spec = SeedSpec(cfg.master_seed, _TRANSFORM_ROLE | (cell_index << 32) | trial)
-            transform = sample_transform(kind, cfg.k, cfg.d, spec)
-            samples = distortion_batch(transform, vectors, transform_instance=trial)
-            chunks.append(np.array([sample.delta for sample in samples]))
-        return np.concatenate(chunks)
-
-    all_samples = _run_jobs(
-        [lambda ci=ci, c=c: pooled_deltas(c, ci) for ci, c in enumerate(cfg.constructions)]
-    )
-
+    blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, vectors) for c in cfg.constructions])
+    samples = {c: block.ravel() for c, block in zip(cfg.constructions, blocks)}
     grid = grid_spec.grid()
     thresholds = grid_spec.tail_thresholds()
-    cdf_table: dict[str, np.ndarray] = {}
-    tail_table: dict[str, np.ndarray] = {}
-    samples_table: dict[str, np.ndarray] = {}
-    total = total_sq = 0.0
-    count = 0
-    for construction, deltas in zip(cfg.constructions, all_samples):
-        cdf_table[construction] = empirical_cdf(deltas, grid)
-        tail_table[construction] = np.array([np.mean(np.abs(deltas) > thr) for thr in thresholds])
-        samples_table[construction] = deltas
-        total += float(deltas.sum())
-        total_sq += float(deltas @ deltas)
-        count += deltas.size
-    mean = total / count
-    var = max(0.0, (total_sq - count * mean * mean) / (count - 1)) if count > 1 else 0.0
+    mean, std, count = _pooled_stats(blocks)
     return CdfResult(
         grid=grid,
         constructions=tuple(cfg.constructions),
-        cdf=cdf_table,
+        cdf={c: empirical_cdf(deltas, grid) for c, deltas in samples.items()},
         tail_thresholds=thresholds,
-        tail=tail_table,
-        samples=samples_table,
+        tail={c: np.array([np.mean(np.abs(deltas) > thr) for thr in thresholds]) for c, deltas in samples.items()},
+        samples=samples,
         pooled_mean=mean,
-        pooled_std=math.sqrt(var),
+        pooled_std=std,
         pooled_count=count,
     )
 
@@ -558,22 +449,18 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_cdf_csv(result: CdfResult, path: str | Path) -> None:
-    lines = ["construction,grid,cdf"]
-    for construction in result.constructions:
-        cdf = result.cdf[construction]
-        for g, c in zip(result.grid, cdf):
-            lines.append(f"{construction},{_fmt(g)},{_fmt(c)}")
+def _write_curves(path: str | Path, header: str, result: CdfResult, xs, ys) -> None:
+    """One (construction, x, y) line per point of each construction's curve."""
+    lines = [header] + [f"{c},{_fmt(x)},{_fmt(y)}" for c in result.constructions for x, y in zip(xs, ys[c])]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_cdf_csv(result: CdfResult, path: str | Path) -> None:
+    _write_curves(path, "construction,grid,cdf", result, result.grid, result.cdf)
 
 
 def write_tail_csv(result: CdfResult, path: str | Path) -> None:
-    lines = ["construction,threshold,exceedance"]
-    for construction in result.constructions:
-        tail = result.tail[construction]
-        for thr, frac in zip(result.tail_thresholds, tail):
-            lines.append(f"{construction},{_fmt(thr)},{_fmt(frac)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_curves(path, "construction,threshold,exceedance", result, result.tail_thresholds, result.tail)
 
 
 def write_manifest(path: str | Path, cfg: ExperimentConfig, started_at: str, extra: dict | None = None) -> None:

@@ -135,3 +135,33 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
     out2 = tmp_path / "threaded.csv"
     assert cli_main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cdf", "--constructions", "Dense", "--k", "1100000", "--d", "1000", "--n", "1", "--trials", "1"],
+        ["sweep-s", "--n", "20", "--d", "50", "--k", "10", "--s", "2", "--trials", "1"],
+    ],
+    ids=["dense-budget", "out-is-a-directory"],
+)
+def test_resource_and_os_errors_exit_three(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv" if argv[0] == "cdf" else tmp_path
+    assert cli_main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_missing_output_directory_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    from jlproj import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling started before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sparsity_sweep", must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["sweep-s", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

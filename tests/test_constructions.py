@@ -16,7 +16,6 @@ from jlproj.constructions import (
     SparseColumnLayout,
     load_transform,
     nnz,
-    sample_rows_without_replacement,
     sample_transform,
     save_transform,
 )
@@ -102,12 +101,12 @@ class TestDenseKinds:
 class TestRowSampling:
     def test_full_subset_is_identity(self):
         rng = derive_stream(SeedSpec(0, 0))
-        assert np.array_equal(sample_rows_without_replacement(5, 5, rng), np.arange(5))
+        assert np.array_equal(sample_without_replacement(5, 5, rng), np.arange(5))
 
     def test_rejects_oversized_subset(self):
         rng = derive_stream(SeedSpec(0, 0))
         with pytest.raises(ValueError):
-            sample_rows_without_replacement(2, 3, rng)
+            sample_without_replacement(2, 3, rng)
 
     def test_single_row_marginal(self):
         """k=2, s=1: row 0 frequency within 4 SE of 1/2 over 1e5 draws."""
@@ -138,7 +137,7 @@ class TestRowSampling:
     @settings(max_examples=60, deadline=None)
     def test_sorted_distinct_in_range(self, k, seed, data):
         s = data.draw(st.integers(min_value=1, max_value=k))
-        rows = sample_rows_without_replacement(k, s, derive_stream(SeedSpec(seed, 0)))
+        rows = sample_without_replacement(k, s, derive_stream(SeedSpec(seed, 0)))
         assert rows.size == s
         assert np.all((rows >= 0) & (rows < k))
         if s > 1:
@@ -216,3 +215,60 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
             load_transform(path)
+
+    @staticmethod
+    def _graph_file(tmp_path):
+        layout = sample_transform(GraphSparse(2), 10, 4, SeedSpec(0, 1))
+        path = tmp_path / "g.bin"
+        save_transform(layout, path)
+        return path, bytearray(path.read_bytes())
+
+    def test_row_outside_k_rejected(self, tmp_path):
+        path, blob = self._graph_file(tmp_path)
+        header = len(blob) - 9 * 4 * 2
+        blob[header + 8 : header + 16] = (99).to_bytes(8, "little")  # column 0, second row
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"g\.bin: row index outside \[0, 10\)"):
+            load_transform(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path, blob = self._graph_file(tmp_path)
+        path.write_bytes(bytes(blob[:-3]))
+        with pytest.raises(ValueError, match=r"g\.bin: truncated payload"):
+            load_transform(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._graph_file(tmp_path)
+        path.write_bytes(bytes(blob) + b"\x00")
+        with pytest.raises(ValueError, match=r"g\.bin: 1 trailing bytes"):
+            load_transform(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path, blob = self._graph_file(tmp_path)
+        blob[17:25] = (1 << 40).to_bytes(8, "little")  # d
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="truncated payload"):
+            load_transform(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_file_rejected_or_valid(self, data, tmp_path_factory):
+        """Any byte mutation either raises ValueError or loads a valid layout."""
+        path, blob = self._graph_file(tmp_path_factory.mktemp("mut"))
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, 3))
+        path.write_bytes(bytes(blob[: len(blob) - cut]) + data.draw(st.binary(max_size=2)))
+        try:
+            loaded = load_transform(path)
+        except ValueError as exc:
+            assert "\n" not in str(exc) and str(path) in str(exc)
+            return
+        if isinstance(loaded, SparseColumnLayout):
+            assert 1 <= loaded.s <= loaded.k
+            assert loaded.rows.shape == loaded.signs.shape == (loaded.d, loaded.s)
+            assert np.all((loaded.rows >= 0) & (loaded.rows < loaded.k))
+            assert np.all(np.diff(loaded.rows, axis=1) > 0)
+            assert np.all(np.abs(loaded.signs) == 1.0)
+        else:
+            assert loaded.entries.shape == (loaded.k, loaded.d)

@@ -25,7 +25,7 @@ from jlproj.experiments import (
     write_manifest,
     write_sweep_csv,
     write_tail_csv,
-    _trial_quantiles,
+    _cell_deltas,
 )
 from jlproj.stats import quantile
 
@@ -56,7 +56,6 @@ class TestConfig:
             dict(probes=(0.0, 0.5)),
             dict(constructions=("Dense", "Nope")),
             dict(constructions=("Dense", "Dense")),
-            dict(epsilon=1.5),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -267,16 +266,13 @@ class TestCdf:
 
 class TestTrialIndependence:
     def test_prefix_stability(self):
-        """Adding trials never changes earlier trials' quantiles."""
+        """Adding trials never changes earlier trials' deltas."""
         cfg = _small_cfg()
         vectors = sample_unit_sphere_batch(cfg.d, 50, SeedSpec(cfg.master_seed, 1 << 60))
-        q2, *_ = _trial_quantiles(
-            GraphSparse(4), cfg.k, cfg.d, vectors, 2, cfg.probes, cfg.master_seed, 5, False
-        )
-        q4, *_ = _trial_quantiles(
-            GraphSparse(4), cfg.k, cfg.d, vectors, 4, cfg.probes, cfg.master_seed, 5, False
-        )
-        assert np.array_equal(q2, q4[:2])
+        d2 = _cell_deltas(_small_cfg(trials=2), 5, GraphSparse(4), cfg.k, vectors)
+        d4 = _cell_deltas(_small_cfg(trials=4), 5, GraphSparse(4), cfg.k, vectors)
+        assert d2.shape == (2, 50) and d4.shape == (4, 50)
+        assert np.array_equal(d2, d4[:2])
 
 
 class TestVerification:
