@@ -162,8 +162,8 @@ def cli_main(argv=None) -> int:
             result = run_input_sparsity_sweep(cfg, t_values)
             _write_sweep(args, cfg, result, started_at)
         elif args.command == "sweep-k":
-            cfg = _build_config(args, k=max(DEFAULT_K_GRID), s=args.s, t=args.t)
-            k_values = args.k if args.k is not None else [k for k in DEFAULT_K_GRID if k >= cfg.s]
+            k_values = args.k if args.k is not None else [k for k in DEFAULT_K_GRID if k >= args.s]
+            cfg = _build_config(args, k=max([*k_values, args.s]), s=args.s, t=args.t)
             result = run_k_sweep(cfg, k_values)
             _write_sweep(args, cfg, result, started_at)
         elif args.command == "cdf":

@@ -48,6 +48,10 @@ class DenseTransform:
     kind: ConstructionKind
     seed: SeedSpec | None = None
 
+    def __post_init__(self) -> None:
+        if self.entries.shape != (self.k, self.d):
+            raise ValueError(f"entries must have shape ({self.k}, {self.d}), got {self.entries.shape}")
+
 
 @dataclass(frozen=True)
 class SparseColumnLayout:
@@ -57,6 +61,7 @@ class SparseColumnLayout:
     ``signs[i]`` the matching +-1 factors.  The stored sign magnitude is 1;
     the 1/sqrt(s) value scale is applied during multiplication (see
     :attr:`scale`), which is arithmetically the pre-scaled column.
+    Construction checks these invariants, d >= 1 and 1 <= s <= k.
     """
 
     k: int
@@ -65,6 +70,19 @@ class SparseColumnLayout:
     rows: np.ndarray
     signs: np.ndarray
     seed: SeedSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.d < 1 or not 1 <= self.s <= self.k:
+            raise ValueError(f"need d >= 1 and 1 <= s <= k, got d={self.d}, s={self.s}, k={self.k}")
+        shape = (self.d, self.s)
+        if self.rows.shape != shape or self.signs.shape != shape:
+            raise ValueError(f"rows and signs must have shape {shape}, got {self.rows.shape} and {self.signs.shape}")
+        if self.rows.min() < 0 or self.rows.max() >= self.k:
+            raise ValueError(f"row index outside [0, {self.k})")
+        if not np.all(np.diff(self.rows, axis=1) > 0):
+            raise ValueError("row indices of a column are not strictly increasing")
+        if not np.all(np.abs(self.signs) == 1):
+            raise ValueError("signs must be -1 or +1")
 
     @property
     def scale(self) -> float:
@@ -162,10 +180,10 @@ def load_transform(path: str | Path) -> Transform:
     """Read a transform written by :func:`save_transform`.
 
     The file is checked before anything is allocated from its header: the
-    payload must have exactly the size the header implies, and a graph
-    layout must hold rows in [0, k), strictly increasing per column, with
-    +-1 signs and 1 <= s <= k.  Any violation raises a one-line ValueError
-    naming the file.
+    payload must have exactly the size the header implies.  The loaded
+    transform then passes its type's own checks (for a graph layout: rows
+    in [0, k), strictly increasing per column, +-1 signs, 1 <= s <= k).
+    Any violation raises a one-line ValueError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -182,8 +200,6 @@ def load_transform(path: str | Path) -> Transform:
         graph = kind_types[kind_code] is GraphSparse
         if k < 1 or d < 1:
             raise ValueError(f"{path}: transform shape must be positive, got k={k}, d={d}")
-        if graph and not 1 <= s <= k:
-            raise ValueError(f"{path}: need 1 <= s <= k, got s={s}, k={k}")
         if not graph and s != 0:
             raise ValueError(f"{path}: dense transform header has s={s}, expected 0")
         expected = 9 * d * s if graph else 8 * k * d
@@ -194,19 +210,15 @@ def load_transform(path: str | Path) -> Transform:
             raise ValueError(f"{path}: {size - expected} trailing bytes after the payload")
         payload = fh.read(expected)
     seed = SeedSpec(master, stream) if has_seed else None
-    if graph:
-        rows = np.frombuffer(payload, dtype="<i8", count=d * s).reshape(d, s).astype(np.int64)
-        signs = np.frombuffer(payload, dtype="<i1", offset=8 * d * s).reshape(d, s)
-        if rows.min() < 0 or rows.max() >= k:
-            raise ValueError(f"{path}: row index outside [0, {k})")
-        if not np.all(np.diff(rows, axis=1) > 0):
-            raise ValueError(f"{path}: row indices of a column are not strictly increasing")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError(f"{path}: signs must be -1 or +1")
-        signs = signs.astype(np.float64)
-        rows.setflags(write=False)
-        signs.setflags(write=False)
-        return SparseColumnLayout(k=k, d=d, s=s, rows=rows, signs=signs, seed=seed)
-    entries = np.frombuffer(payload, dtype="<f8").reshape(k, d).astype(np.float64)
-    entries.setflags(write=False)
-    return DenseTransform(k=k, d=d, entries=entries, kind=kind_types[kind_code](), seed=seed)
+    try:
+        if graph:
+            rows = np.frombuffer(payload, dtype="<i8", count=d * s).reshape(d, s).astype(np.int64)
+            signs = np.frombuffer(payload, dtype="<i1", offset=8 * d * s).reshape(d, s).astype(np.float64)
+            rows.setflags(write=False)
+            signs.setflags(write=False)
+            return SparseColumnLayout(k=k, d=d, s=s, rows=rows, signs=signs, seed=seed)
+        entries = np.frombuffer(payload, dtype="<f8").reshape(k, d).astype(np.float64)
+        entries.setflags(write=False)
+        return DenseTransform(k=k, d=d, entries=entries, kind=kind_types[kind_code](), seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

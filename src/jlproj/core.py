@@ -15,6 +15,10 @@ Draw conventions (fixed so that golden fixtures stay stable):
 * normals:  ``Generator.standard_normal`` (numpy's ziggurat method)
 * bounded integers: ``Generator.integers`` (Lemire rejection sampling)
 
+Each input family has one draw convention, defined by its batch sampler
+(:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a
+single draw is a batch of one.
+
 All floating-point arithmetic is float64 throughout.
 """
 
@@ -126,10 +130,6 @@ class InputVector:
                 raise ValueError("sparse indices must be strictly increasing")
 
     @property
-    def is_sparse(self) -> bool:
-        return self.indices is not None
-
-    @property
     def nnz(self) -> int:
         return int(self.values.size)
 
@@ -145,14 +145,8 @@ class InputVector:
 
 
 def sample_unit_sphere(d: int, seed: SeedSpec) -> InputVector:
-    """Uniform draw from the unit sphere in R^d (normalized standard normals)."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
-    rng = derive_stream(seed)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    v.setflags(write=False)
-    return InputVector(dim=d, values=v)
+    """Uniform draw from the unit sphere in R^d: a batch of one."""
+    return sample_unit_sphere_batch(d, 1, seed)[0]
 
 
 def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> list[InputVector]:
@@ -167,29 +161,16 @@ def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> list[InputVe
 
 
 def sample_sparse_unit(d: int, t: int, seed: SeedSpec) -> InputVector:
-    """Sparse unit vector: t support positions uniform without replacement.
-
-    Nonzero values are i.i.d. standard normal, then normalized to unit norm.
-    Positions are drawn first, values second, from the same stream.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
-    if t < 1 or t > d:
-        raise ValueError(f"support size must satisfy 1 <= t <= d, got t={t}, d={d}")
-    rng = derive_stream(seed)
-    idx = sample_without_replacement(d, t, rng)
-    vals = rng.standard_normal(t)
-    vals /= np.linalg.norm(vals)
-    idx.setflags(write=False)
-    vals.setflags(write=False)
-    return InputVector(dim=d, values=vals, indices=idx)
+    """Sparse unit vector with t nonzeros: a batch of one."""
+    return sample_sparse_unit_batch(d, t, 1, seed)[0]
 
 
 def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> list[InputVector]:
     """``count`` independent sparse unit vectors from one stream.
 
-    Supports are drawn for the whole batch first, then the (count, t) value
-    block; per-vector draws differ from looping :func:`sample_sparse_unit`.
+    Each support is t positions uniform without replacement; nonzero values
+    are i.i.d. standard normal, then normalized to unit norm.  Supports are
+    drawn for the whole batch first, then the (count, t) value block.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
@@ -204,27 +185,21 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> list
     return [InputVector(dim=d, values=vals[i], indices=idx[i]) for i in range(count)]
 
 
-def sample_without_replacement(
-    n: int, m: int, rng: np.random.Generator, count: int | None = None
-) -> np.ndarray:
-    """Sorted uniform m-subsets of range(n) via partial Fisher-Yates.
+def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates, shape (count, m).
 
-    Returns shape (m,) when ``count`` is None, else (count, m).  Exactly
-    uniform over the C(n, m) subsets.  The full-set case m == n consumes no
-    draws.  Memory is bounded by chunking the per-subset pools.
+    Exactly uniform over the C(n, m) subsets.  The full-set case m == n
+    consumes no draws.  Memory is bounded by chunking the per-subset pools.
     """
     if m < 0 or m > n:
         raise ValueError(f"subset size must satisfy 0 <= m <= n, got m={m}, n={n}")
-    squeeze = count is None
-    rows = 1 if squeeze else count
     if m == n:
-        out = np.broadcast_to(np.arange(n, dtype=np.int64), (rows, n)).copy()
-        return out[0] if squeeze else out
+        return np.broadcast_to(np.arange(n, dtype=np.int64), (count, n)).copy()
 
     chunk = max(1, _FY_CHUNK_BYTES // (8 * max(n, 1)))
     pieces = []
-    for start in range(0, rows, chunk):
-        c = min(chunk, rows - start)
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
         pool = np.broadcast_to(np.arange(n, dtype=np.int64), (c, n)).copy()
         ar = np.arange(c)
         for j in range(m):
@@ -233,5 +208,4 @@ def sample_without_replacement(
             pool[ar, pick] = pool[:, j]
             pool[:, j] = chosen
         pieces.append(np.sort(pool[:, :m], axis=1))
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-    return out[0] if squeeze else out
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)

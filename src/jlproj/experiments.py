@@ -221,6 +221,8 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=Fa
     averaged over trials.  ``order`` lists the (cell position, axis value)
     of each row group; by default every cell once, in cell order.
     """
+    if not axis_values:
+        raise ValueError(f"the {axis_name} axis needs at least one value")
     blocks = _run_cells(cfg, [cell[3:] for cell in cells])
     quantiles = [
         np.array([[quantile(deltas, p) for p in cfg.probes] for deltas in (np.abs(b) if use_abs else b)])
@@ -356,6 +358,10 @@ def _verify_seed(master_seed: int, check: int) -> SeedSpec:
 
 def run_verification(master_seed: int = 0, trials: int = 2000, pair_samples: int = 100_000) -> list[CheckResult]:
     """Empirical bound checks for all constructions; every check is seeded."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if pair_samples < 2:
+        raise ValueError(f"pair_samples must be >= 2, got {pair_samples}")
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

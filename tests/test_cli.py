@@ -116,6 +116,40 @@ def test_invalid_argument_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sweep_k_accepts_s_above_default_grid(tmp_path):
+    out = tmp_path / "x.csv"
+    code = cli_main(
+        ["sweep-k", "--k", "600", "--s", "500", "--n", "5", "--d", "50", "--trials", "1", "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.with_suffix(".manifest.json").read_text())["config"]["k"] == 600
+
+
+_SMALL = ["--n", "5", "--d", "50", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-t", "--t", "", *_SMALL],
+        ["sweep-s", "--s", "", *_SMALL],
+        ["sweep-k", "--k", "", *_SMALL],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-3"],
+        ["verify", "--pairs", "0"],
+        ["verify", "--pairs", "1"],
+    ],
+    ids=["empty-t", "empty-s", "empty-k", "trials-0", "trials-negative", "pairs-0", "pairs-1"],
+)
+def test_invalid_run_size_exits_two(argv, tmp_path, capsys):
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_rerun_is_byte_identical(tmp_path):
     args = ["sweep-s", "--n", "60", "--d", "150", "--k", "20", "--s", "1,4",
             "--t", "3", "--trials", "2", "--seed", "5"]

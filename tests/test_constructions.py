@@ -57,6 +57,21 @@ class TestGraphSparseLayout:
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.signs, b.signs)
 
+    @pytest.mark.parametrize(
+        "s,rows,signs,match",
+        [
+            (2, [[0, 99], [1, 2], [3, 4]], [[1, 1], [1, 1], [1, 1]], r"row index outside \[0, 10\)"),
+            (2, [[1, 1], [1, 2], [3, 4]], [[1, 3], [1, 1], [1, 1]], "strictly increasing"),
+            (2, [[0, 1], [1, 2], [3, 4]], [[1, 3], [1, 1], [1, -1]], "signs"),
+            (2, [[0, 1], [1, 2]], [[1, 1], [1, 1]], "shape"),
+            (11, [[0] * 11] * 3, [[1] * 11] * 3, "1 <= s <= k"),
+        ],
+        ids=["row-outside-k", "duplicate-rows-and-sign-3", "sign-3", "wrong-shape", "s-above-k"],
+    )
+    def test_invalid_layout_built_in_code_rejected(self, s, rows, signs, match):
+        with pytest.raises(ValueError, match=match):
+            SparseColumnLayout(k=10, d=3, s=s, rows=np.array(rows), signs=np.array(signs, dtype=np.float64))
+
 
 class TestDenseKinds:
     def test_rademacher_value_set(self):
@@ -86,6 +101,10 @@ class TestDenseKinds:
         with pytest.raises(ValueError):
             sample_transform(DenseGaussian(), k, d, SeedSpec(0, 0))
 
+    def test_entries_must_match_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
+            DenseTransform(k=3, d=4, entries=np.zeros((4, 3)), kind=DenseGaussian())
+
     def test_dense_entry_budget(self):
         with pytest.raises(ResourceLimitError):
             sample_transform(DenseGaussian(), 1 << 16, (MAX_DENSE_ENTRIES >> 16) + 1, SeedSpec(0, 0))
@@ -101,12 +120,12 @@ class TestDenseKinds:
 class TestRowSampling:
     def test_full_subset_is_identity(self):
         rng = derive_stream(SeedSpec(0, 0))
-        assert np.array_equal(sample_without_replacement(5, 5, rng), np.arange(5))
+        assert np.array_equal(sample_without_replacement(5, 5, rng, count=1)[0], np.arange(5))
 
     def test_rejects_oversized_subset(self):
         rng = derive_stream(SeedSpec(0, 0))
         with pytest.raises(ValueError):
-            sample_without_replacement(2, 3, rng)
+            sample_without_replacement(2, 3, rng, count=1)
 
     def test_single_row_marginal(self):
         """k=2, s=1: row 0 frequency within 4 SE of 1/2 over 1e5 draws."""
@@ -137,7 +156,7 @@ class TestRowSampling:
     @settings(max_examples=60, deadline=None)
     def test_sorted_distinct_in_range(self, k, seed, data):
         s = data.draw(st.integers(min_value=1, max_value=k))
-        rows = sample_without_replacement(k, s, derive_stream(SeedSpec(seed, 0)))
+        rows = sample_without_replacement(k, s, derive_stream(SeedSpec(seed, 0)), count=1)[0]
         assert rows.size == s
         assert np.all((rows >= 0) & (rows < k))
         if s > 1:

@@ -125,6 +125,24 @@ class TestSparseUnit:
         assert np.array_equal(a.values, b.values)
 
 
+class TestSingleDrawIsBatchOfOne:
+    """One draw convention per input family: a single draw is a batch of one."""
+
+    @pytest.mark.parametrize("d,seed", [(1, 0), (7, 2), (200, 1), (10000, 1)])
+    def test_unit_sphere(self, d, seed):
+        single = sample_unit_sphere(d, SeedSpec(seed, 9))
+        batch = sample_unit_sphere_batch(d, 1, SeedSpec(seed, 9))[0]
+        assert single.indices is None and batch.indices is None
+        assert single.values.tobytes() == batch.values.tobytes()
+
+    @pytest.mark.parametrize("d,t,seed", [(1, 1, 0), (40, 7, 10), (300, 9, 0), (10000, 5, 7), (10000, 1000, 0)])
+    def test_sparse_unit(self, d, t, seed):
+        single = sample_sparse_unit(d, t, SeedSpec(seed, 9))
+        batch = sample_sparse_unit_batch(d, t, 1, SeedSpec(seed, 9))[0]
+        assert np.array_equal(single.indices, batch.indices)
+        assert single.values.tobytes() == batch.values.tobytes()
+
+
 class TestInputVectorValidation:
     def test_dense_length_must_match(self):
         with pytest.raises(ValueError):
@@ -174,7 +192,7 @@ class TestInputVectorValidation:
 class TestWithoutReplacement:
     def test_full_set(self):
         rng = derive_stream(SeedSpec(0, 0))
-        assert np.array_equal(sample_without_replacement(5, 5, rng), np.arange(5))
+        assert np.array_equal(sample_without_replacement(5, 5, rng, count=1)[0], np.arange(5))
 
     def test_batch_matches_shape(self):
         rng = derive_stream(SeedSpec(0, 1))
@@ -185,4 +203,4 @@ class TestWithoutReplacement:
     def test_invalid_subset_size(self):
         rng = derive_stream(SeedSpec(0, 2))
         with pytest.raises(ValueError):
-            sample_without_replacement(3, 4, rng)
+            sample_without_replacement(3, 4, rng, count=1)
