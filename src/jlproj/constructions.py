@@ -1,11 +1,12 @@
 """Sampling and storage of the four random projection families.
 
-Scaling convention: the 1/sqrt(k) factor of the dense families and the
-1/sqrt(s) factor of the graph construction are baked into the stored values
-at sampling time, so application is a plain matrix-vector product with no
-extra multiply.  Dense transforms are stored row-major; the graph
-construction is stored column-wise (per-column row lists and signs) because
-application iterates input coordinates and scatters whole columns.
+Scaling convention: the 1/sqrt(k) factor of the dense families is baked
+into the stored values at sampling time, so projection is a plain matrix
+product with no extra multiply; the graph construction stores +-1 signs
+and its 1/sqrt(s) factor is applied to the product.  Dense transforms are
+stored row-major; the graph construction is stored column-wise (per-column
+row lists and signs), which is exactly the (d, k) CSR matrix that
+projection multiplies by.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._version import __version__
 from .apply import distortion_batch
-from .constructions import sample_transform
+from .constructions import MAX_DENSE_ENTRIES, ResourceLimitError, sample_transform
 from .core import (
     AchlioptasSparse,
     ConstructionKind,
@@ -241,6 +241,12 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=Fa
 
 
 def _families(cfg: ExperimentConfig):
+    """The dense and the sparse input batch; the dense one is checked against
+    the memory budget before anything is sampled."""
+    if cfg.n * cfg.d > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(
+            f"dense input block of {cfg.n}x{cfg.d} entries exceeds the {MAX_DENSE_ENTRIES} entry budget"
+        )
     return [
         ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
         ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),
@@ -444,6 +450,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: a temp file in the same
+    directory, then a rename, so a failed write leaves no partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     """Sweep rows as CSV; the axis column is named after the swept parameter."""
     lines = [f"construction,input_family,{result.axis_name},probe,mean,std,trials"]
@@ -452,13 +471,13 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
             f"{r.construction},{r.input_family},{r.axis_value},"
             f"{_fmt(r.probe)},{_fmt(r.mean)},{_fmt(r.std)},{r.trials}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_curves(path: str | Path, header: str, result: CdfResult, xs, ys) -> None:
     """One (construction, x, y) line per point of each construction's curve."""
     lines = [header] + [f"{c},{_fmt(x)},{_fmt(y)}" for c in result.constructions for x, y in zip(xs, ys[c])]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_cdf_csv(result: CdfResult, path: str | Path) -> None:
@@ -478,4 +497,4 @@ def write_manifest(path: str | Path, cfg: ExperimentConfig, started_at: str, ext
     }
     if extra:
         manifest.update(extra)
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

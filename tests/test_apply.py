@@ -1,5 +1,6 @@
 """Tests for application kernels, distortion, and the work counter."""
 
+import importlib
 import math
 
 import numpy as np
@@ -17,8 +18,13 @@ from jlproj.core import (
     Rademacher,
     SeedSpec,
     sample_sparse_unit,
+    sample_sparse_unit_batch,
     sample_unit_sphere,
+    sample_unit_sphere_batch,
 )
+
+# The package re-exports the function `apply`, which shadows the submodule.
+apply_module = importlib.import_module("jlproj.apply")
 
 KINDS = [DenseGaussian(), Rademacher(), AchlioptasSparse(), GraphSparse(6)]
 
@@ -187,3 +193,88 @@ class TestWorkCounter:
         counter = WorkCounter()
         distortion_batch(layout, xs, counter=counter)
         assert counter.entries_touched == 3 * 5 * 16
+
+
+def _bincount_reference(layout, x):
+    """Graph product of one vector: scatter its signed columns with bincount."""
+    idx = slice(None) if x.indices is None else x.indices
+    contrib = layout.signs[idx] * x.values[:, None]
+    y = np.bincount(layout.rows[idx].ravel(), weights=contrib.ravel(), minlength=layout.k)
+    return y * layout.scale
+
+
+def _mixed_inputs(d, seed):
+    """Dense and sparse vectors of two support sizes, interleaved in runs."""
+    xs = []
+    for i, t in enumerate([None, None, 3, 3, 3, None, 7, 7, 3, None]):
+        spec = SeedSpec(seed, i)
+        xs.append(sample_unit_sphere(d, spec) if t is None else sample_sparse_unit(d, t, spec))
+    return xs
+
+
+class TestBatchedKernel:
+    D, K = 400, 32
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "sparse_input"])
+    def test_graph_bitwise_equals_bincount(self, sparse):
+        layout = sample_transform(GraphSparse(6), self.K, self.D, SeedSpec(60, 0))
+        if sparse:
+            xs = sample_sparse_unit_batch(self.D, 9, 50, SeedSpec(60, 1))
+        else:
+            xs = sample_unit_sphere_batch(self.D, 50, SeedSpec(60, 1))
+        expected = []
+        for x in xs:
+            y = _bincount_reference(layout, x)
+            assert np.array_equal(apply(layout, x), y)
+            expected.append(float(y @ y) - 1.0)
+        assert np.array_equal(distortion_batch(layout, xs), np.array(expected))
+
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_dense_transforms_match_matrix_product(self, kind):
+        transform = sample_transform(kind, self.K, self.D, SeedSpec(61, 0))
+        xs = sample_unit_sphere_batch(self.D, 30, SeedSpec(61, 1)) + sample_sparse_unit_batch(
+            self.D, 11, 30, SeedSpec(61, 2)
+        )
+        for x in xs:
+            assert np.max(np.abs(apply(transform, x) - transform.entries @ x.to_dense())) <= 1e-12
+        expected = [float(y @ y) - 1.0 for y in (transform.entries @ x.to_dense() for x in xs)]
+        assert np.max(np.abs(distortion_batch(transform, xs) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "sparse_input"])
+    def test_chunking_invariance(self, rows, kind, sparse, monkeypatch):
+        transform = sample_transform(kind, self.K, self.D, SeedSpec(62, 0))
+        if sparse:
+            xs = sample_sparse_unit_batch(self.D, 5, 20, SeedSpec(62, 1))
+        else:
+            xs = sample_unit_sphere_batch(self.D, 20, SeedSpec(62, 1))
+        whole = distortion_batch(transform, xs)
+        width = 2 * 5 if sparse else self.D
+        monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (width + self.K))
+        assert max(len(chunk) for _, chunk in apply_module._chunks(xs, self.K)) == rows
+        chunked = distortion_batch(transform, xs)
+        if isinstance(kind, GraphSparse):
+            assert np.array_equal(chunked, whole)
+        else:
+            assert np.max(np.abs(chunked - whole)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    def test_mixed_list_keeps_order(self, kind):
+        transform = sample_transform(kind, self.K, self.D, SeedSpec(63, 0))
+        xs = _mixed_inputs(self.D, 64)
+        deltas = distortion_batch(transform, xs)
+        one_by_one = np.array([distortion(transform, x) for x in xs])
+        if isinstance(kind, GraphSparse):
+            assert np.array_equal(deltas, one_by_one)
+        else:
+            assert np.max(np.abs(deltas - one_by_one)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    def test_counter_sums_over_mixed_list(self, kind):
+        transform = sample_transform(kind, self.K, self.D, SeedSpec(65, 0))
+        xs = _mixed_inputs(self.D, 66)
+        counter = WorkCounter()
+        distortion_batch(transform, xs, counter)
+        per_entry = kind.s if isinstance(kind, GraphSparse) else self.K
+        assert counter.entries_touched == per_entry * sum(x.nnz for x in xs)

@@ -1,6 +1,9 @@
 """Tests for the command-line interface contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -199,3 +202,38 @@ def test_missing_output_directory_fails_before_sampling(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: output directory") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-s", "sweep-k"])
+def test_dense_input_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
+    from jlproj import experiments
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling started before the input block was checked")
+
+    monkeypatch.setattr(experiments, "sample_unit_sphere_batch", must_not_run)
+    monkeypatch.setattr(experiments, "sample_sparse_unit_batch", must_not_run)
+    argv = [command, "--n", "1100000", "--d", "1000", "--k", "16", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense input block") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_partial_output(tmp_path):
+    """A CSV write cut off by the file-size limit keeps --out's old bytes."""
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (256, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+        "from jlproj.cli import cli_main\n"
+        f"sys.exit(cli_main(['sweep-k', '--n', '20', '--d', '50', '--k', '8,16', '--s', '4', '--trials', '2', "
+        f"'--out', {str(out)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -312,3 +315,20 @@ class TestChiSquareGof:
         counts = np.array([10_000, 10_000, 20_000, 0])
         _, _, ok = chi_square_gof(counts, np.full(4, 0.25))
         assert not ok
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1])
+    def test_critical_value_equals_scipy_chi2_ppf(self, alpha):
+        from scipy.stats import chi2
+
+        for df in range(1, 31):
+            counts = np.full(df + 1, 100)
+            _, critical, _ = chi_square_gof(counts, np.full(df + 1, 1.0 / (df + 1)), alpha=alpha)
+            assert critical == float(chi2.ppf(1.0 - alpha, df))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """The command's import path stays free of scipy.stats, the slowest scipy import."""
+    code = "import sys, jlproj.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
