@@ -1,9 +1,9 @@
 """Projection and distortion: one batched kernel, one matrix product per chunk.
 
-A list of inputs is cut into chunks: runs of consecutive vectors with the
-same storage and the same nnz, each capped by a fixed scratch budget.  A
-chunk is stacked into ``X`` (a dense ``(c, d)`` array, or a CSR matrix of
-the vectors' indices and values) and projected with one product
+An :class:`~jlproj.core.InputBatch` is cut into chunks of consecutive rows,
+each capped by a fixed scratch budget.  A chunk is a row slice ``X`` of the
+batch (a view of the dense ``(c, d)`` block, or a CSR matrix built from the
+slice's values and indices) and is projected with one product
 ``Y = X @ op``: ``op`` is ``entries.T`` for a dense transform, and for the
 graph construction the ``(d, k)`` CSR matrix of its ±1 signs, with the
 ``1/sqrt(s)`` scale applied to ``Y`` afterwards.
@@ -18,21 +18,20 @@ BLAS call per chunk, whose summation order is the library's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
 from .constructions import SparseColumnLayout, Transform
-from .core import InputVector
+from .core import InputBatch, InputVector
 
-# Input vectors handed to distortion_batch() may have been round-tripped
+# Inputs handed to distortion_batch() may have been round-tripped
 # through files, so the unit-norm gate is looser than the generators' 1e-12.
 UNIT_NORM_TOL = 1e-9
 
-# Bytes of stacked input plus output per chunk: at d = 10^4 a dense chunk
-# holds about 100 vectors, so a paper-scale batch of 5000 is never copied
-# into one block.
+# Bytes of a chunk's input rows plus its output: at d = 10^4 a dense chunk
+# holds about 100 rows, so a paper-scale batch of 5000 never has its
+# output or a CSR copy held as one block.
 _SCRATCH_BYTES = 1 << 23
 
 
@@ -52,26 +51,14 @@ def _operator(transform: Transform):
     return transform.entries.T
 
 
-def _chunks(xs: list[InputVector], k: int):
-    """(start, chunk) runs of one storage and nnz, each within _SCRATCH_BYTES."""
-    start = 0
-    for (sparse, nnz), run in groupby(xs, key=lambda x: (x.indices is not None, x.nnz)):
-        run = list(run)
-        rows = max(1, _SCRATCH_BYTES // (8 * ((2 if sparse else 1) * nnz + k)))
-        for i in range(0, len(run), rows):
-            yield start + i, run[i : i + rows]
-        start += len(run)
+def _check_dimension(transform: Transform, xs: InputBatch) -> None:
+    if xs.dim != transform.d:
+        raise ValueError(f"input dimension {xs.dim} does not match the transform's d={transform.d}")
 
 
-def _check_dimensions(transform: Transform, xs: list[InputVector]) -> None:
-    for i, x in enumerate(xs):
-        if x.dim != transform.d:
-            raise ValueError(f"vector at index {i} has dimension {x.dim}, transform expects d={transform.d}")
-
-
-def _project(transform: Transform, xs: list[InputVector], counter: WorkCounter | None):
-    """(start, Y) per chunk of ``xs``, whose dimensions the caller checked;
-    Y is C-contiguous with Y[i] = R xs[start + i].
+def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
+    """(start, Y) per chunk of rows of ``xs``, whose dimension the caller
+    checked; Y is C-contiguous with Y[i] = R xs[start + i].
 
     The products use only the columns of each input's support: nnz(x) * s
     stored entries of the graph construction, k * nnz(x) of a dense
@@ -80,11 +67,13 @@ def _project(transform: Transform, xs: list[InputVector], counter: WorkCounter |
     """
     graph = isinstance(transform, SparseColumnLayout)
     op = _operator(transform)
-    for start, chunk in _chunks(xs, transform.k):
-        c, nnz = len(chunk), chunk[0].nnz
-        X = np.array([x.values for x in chunk])
-        if chunk[0].indices is not None:
-            indices = np.array([x.indices for x in chunk]).ravel()
+    n, nnz = xs.values.shape
+    rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
+    for start in range(0, n, rows):
+        X = xs.values[start : start + rows]
+        c = len(X)
+        if xs.indices is not None:
+            indices = xs.indices[start : start + rows].ravel()
             X = csr_array((X.ravel(), indices, np.arange(c + 1) * nnz), shape=(c, transform.d))
         Y = X @ op
         # A sparse product comes back as CSR, a dense-by-CSR one transposed;
@@ -99,29 +88,30 @@ def _project(transform: Transform, xs: list[InputVector], counter: WorkCounter |
 
 def apply(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> np.ndarray:
     """Exact float64 linear map y = Rx: a batch of one of the projection kernel."""
-    _check_dimensions(transform, [x])
-    [(_, Y)] = _project(transform, [x], counter)
+    xs = x.batch()
+    _check_dimension(transform, xs)
+    [(_, Y)] = _project(transform, xs, counter)
     return Y[0]
 
 
 def distortion(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> float:
     """Squared-norm distortion delta = |Rx|^2 - 1 for a unit vector x: a batch of one."""
-    return float(distortion_batch(transform, [x], counter)[0])
+    return float(distortion_batch(transform, x.batch(), counter)[0])
 
 
-def distortion_batch(
-    transform: Transform, xs: list[InputVector], counter: WorkCounter | None = None
-) -> np.ndarray:
-    """float64 array of delta = |Rx|^2 - 1 for each unit vector x of ``xs``, in order.
+def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter | None = None) -> np.ndarray:
+    """float64 array of delta = |Rx|^2 - 1 for each row x of ``xs``, in order.
 
-    Dimensions are checked for every vector first (the error names the
-    index), then unit norms; the vectors are then projected chunk by chunk.
+    The batch's dimension is checked first, then every row's norm must be
+    within UNIT_NORM_TOL of 1 (a NaN or infinite norm fails); the rows are
+    then projected chunk by chunk.
     """
-    _check_dimensions(transform, xs)
-    for x in xs:
-        norm = np.sqrt(x.sq_norm())
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"distortion requires a unit vector, got |x| = {norm!r}")
+    _check_dimension(transform, xs)
+    # einsum sums each row's squares without an (n, d) temporary.
+    norms = np.sqrt(np.einsum("ij,ij->i", xs.values, xs.values))
+    bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"distortion requires a unit vector, got |x| = {float(norms[bad][0])!r}")
     deltas = np.empty(len(xs))
     for start, Y in _project(transform, xs, counter):
         deltas[start : start + len(Y)] = [float(y @ y) - 1.0 for y in Y]

@@ -19,25 +19,19 @@ from typing import Union
 
 import numpy as np
 
-from .core import (
+from .core import (  # MAX_DENSE_ENTRIES and ResourceLimitError are re-exported
+    MAX_DENSE_ENTRIES,
     AchlioptasSparse,
     ConstructionKind,
     DenseGaussian,
     GraphSparse,
     Rademacher,
+    ResourceLimitError,
     SeedSpec,
+    check_entry_budget,
     derive_stream,
     sample_without_replacement,
 )
-
-# Refuse dense allocations beyond this many entries (8 GiB of float64)
-# instead of letting numpy attempt them.
-MAX_DENSE_ENTRIES = 1 << 30
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested transform would exceed the addressable-memory budget."""
-
 
 @dataclass(frozen=True)
 class DenseTransform:
@@ -104,21 +98,19 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     """
     if k < 1 or d < 1:
         raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
-    rng = derive_stream(seed)
-
     if isinstance(kind, GraphSparse):
         if kind.s > k:
             raise ValueError(f"column sparsity s={kind.s} exceeds k={k}")
+        check_entry_budget("graph layout", d, kind.s)
+        rng = derive_stream(seed)
         rows = sample_without_replacement(k, kind.s, rng, count=d)
         signs = (2.0 * rng.integers(0, 2, size=(d, kind.s)) - 1.0).astype(np.float64)
         rows.setflags(write=False)
         signs.setflags(write=False)
         return SparseColumnLayout(k=k, d=d, s=kind.s, rows=rows, signs=signs, seed=seed)
 
-    if k * d > MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(
-            f"dense transform of {k}x{d} entries exceeds the {MAX_DENSE_ENTRIES} entry budget"
-        )
+    check_entry_budget("dense transform", k, d)
+    rng = derive_stream(seed)
     if isinstance(kind, DenseGaussian):
         entries = rng.standard_normal((k, d)) / np.sqrt(k)
     elif isinstance(kind, Rademacher):

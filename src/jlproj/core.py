@@ -31,9 +31,23 @@ import numpy as np
 
 _UINT64_MAX = (1 << 64) - 1
 
+# Refuse input blocks and transforms beyond this many entries (8 GiB of
+# float64) instead of letting numpy attempt them.
+MAX_DENSE_ENTRIES = 1 << 30
+
 # Pool rows per chunk in the batched without-replacement sampler are capped
 # so the (chunk, n) scratch array stays around 32 MB even at d = 10^4.
 _FY_CHUNK_BYTES = 1 << 25
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested array would exceed the addressable-memory budget."""
+
+
+def check_entry_budget(what: str, rows: int, cols: int) -> None:
+    """Raise ResourceLimitError when a rows x cols block exceeds MAX_DENSE_ENTRIES."""
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise ResourceLimitError(f"{what} of {rows}x{cols} entries exceeds the {MAX_DENSE_ENTRIES} entry budget")
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ class InputVector:
 
     Dense storage: ``indices is None`` and ``values`` has length ``dim``.
     Sparse storage: ``indices`` is strictly increasing with values aligned.
-    Arrays are treated as immutable once constructed.
+    Checked as a batch of one (:class:`InputBatch`); arrays are immutable.
     """
 
     dim: int
@@ -115,19 +129,11 @@ class InputVector:
     indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.indices is None:
-            if self.values.shape != (self.dim,):
-                raise ValueError(f"dense storage needs {self.dim} values, got {self.values.shape}")
-            return
-        if self.indices.shape != self.values.shape:
-            raise ValueError("sparse indices and values must align")
-        if self.indices.size:
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError(f"sparse indices must lie in [0, {self.dim})")
-            if self.indices.size > 1 and not np.all(np.diff(self.indices) > 0):
-                raise ValueError("sparse indices must be strictly increasing")
+        self.batch()
+
+    def batch(self) -> "InputBatch":
+        """This vector as a batch of one, made of views."""
+        return InputBatch(self.dim, self.values[None], None if self.indices is None else self.indices[None])
 
     @property
     def nnz(self) -> int:
@@ -144,20 +150,60 @@ class InputVector:
         return dense
 
 
+@dataclass(frozen=True)
+class InputBatch:
+    """``n`` inputs of one storage as one block, checked once.
+
+    Dense storage: ``indices is None`` and ``values`` has shape (n, dim).
+    Sparse storage: ``values`` and ``indices`` have shape (n, t), each index
+    row strictly increasing in [0, dim).  ``batch[i]`` is row i as an
+    :class:`InputVector` of views.  Arrays are treated as immutable.
+    """
+
+    dim: int
+    values: np.ndarray
+    indices: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dimension must be positive, got {self.dim}")
+        if self.values.ndim != 2:
+            raise ValueError(f"an input batch needs 2-D values, got shape {self.values.shape}")
+        if self.indices is None:
+            if self.values.shape[1] != self.dim:
+                raise ValueError(f"dense storage needs {self.dim} values per row, got {self.values.shape[1]}")
+            return
+        if self.indices.shape != self.values.shape:
+            raise ValueError("sparse indices and values must align")
+        if not np.issubdtype(self.indices.dtype, np.integer):
+            raise ValueError(f"sparse indices must be integers, got {self.indices.dtype}")
+        if self.indices.size and (self.indices[:, 0].min() < 0 or self.indices[:, -1].max() >= self.dim):
+            raise ValueError(f"sparse indices must lie in [0, {self.dim})")
+        if not np.all(np.diff(self.indices, axis=1) > 0):
+            raise ValueError("sparse indices must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> InputVector:
+        return InputVector(self.dim, self.values[i], None if self.indices is None else self.indices[i])
+
+
 def sample_unit_sphere(d: int, seed: SeedSpec) -> InputVector:
     """Uniform draw from the unit sphere in R^d: a batch of one."""
     return sample_unit_sphere_batch(d, 1, seed)[0]
 
 
-def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> list[InputVector]:
+def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> InputBatch:
     """``count`` independent sphere vectors from one stream (row-by-row normals)."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
+    check_entry_budget("dense input block", count, d)
     rng = derive_stream(seed)
     block = rng.standard_normal((count, d))
     block /= np.linalg.norm(block, axis=1, keepdims=True)
     block.setflags(write=False)
-    return [InputVector(dim=d, values=block[i]) for i in range(count)]
+    return InputBatch(d, block)
 
 
 def sample_sparse_unit(d: int, t: int, seed: SeedSpec) -> InputVector:
@@ -165,7 +211,7 @@ def sample_sparse_unit(d: int, t: int, seed: SeedSpec) -> InputVector:
     return sample_sparse_unit_batch(d, t, 1, seed)[0]
 
 
-def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> list[InputVector]:
+def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> InputBatch:
     """``count`` independent sparse unit vectors from one stream.
 
     Each support is t positions uniform without replacement; nonzero values
@@ -176,13 +222,14 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> list
         raise ValueError(f"dimension must be positive, got d={d}")
     if t < 1 or t > d:
         raise ValueError(f"support size must satisfy 1 <= t <= d, got t={t}, d={d}")
+    check_entry_budget("sparse input block", count, t)
     rng = derive_stream(seed)
     idx = sample_without_replacement(d, t, rng, count=count)
     vals = rng.standard_normal((count, t))
     vals /= np.linalg.norm(vals, axis=1, keepdims=True)
     idx.setflags(write=False)
     vals.setflags(write=False)
-    return [InputVector(dim=d, values=vals[i], indices=idx[i]) for i in range(count)]
+    return InputBatch(d, vals, idx)
 
 
 def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -30,13 +30,13 @@ import numpy as np
 
 from ._version import __version__
 from .apply import distortion_batch
-from .constructions import MAX_DENSE_ENTRIES, ResourceLimitError, sample_transform
+from .constructions import sample_transform
 from .core import (
     AchlioptasSparse,
     ConstructionKind,
     DenseGaussian,
     GraphSparse,
-    InputVector,
+    InputBatch,
     Rademacher,
     SeedSpec,
     sample_sparse_unit_batch,
@@ -182,7 +182,7 @@ def _series_kind(name: str, s: int) -> ConstructionKind:
 
 
 def _cell_deltas(
-    cfg: ExperimentConfig, cell_index: int, kind: ConstructionKind, k: int, vectors: list[InputVector]
+    cfg: ExperimentConfig, cell_index: int, kind: ConstructionKind, k: int, vectors: InputBatch
 ) -> np.ndarray:
     """(trials, n) deltas of one cell; trial i projects with a fresh transform
     drawn from stream TRANSFORM_ROLE | cell_index << 32 | i."""
@@ -241,12 +241,7 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=Fa
 
 
 def _families(cfg: ExperimentConfig):
-    """The dense and the sparse input batch; the dense one is checked against
-    the memory budget before anything is sampled."""
-    if cfg.n * cfg.d > MAX_DENSE_ENTRIES:
-        raise ResourceLimitError(
-            f"dense input block of {cfg.n}x{cfg.d} entries exceeds the {MAX_DENSE_ENTRIES} entry budget"
-        )
+    """The dense and the sparse input batch."""
     return [
         ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
         ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),

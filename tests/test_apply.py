@@ -14,6 +14,7 @@ from jlproj.core import (
     AchlioptasSparse,
     DenseGaussian,
     GraphSparse,
+    InputBatch,
     InputVector,
     Rademacher,
     SeedSpec,
@@ -33,6 +34,12 @@ def _fixed_dense(entries):
     entries = np.asarray(entries, dtype=np.float64)
     k, d = entries.shape
     return DenseTransform(k=k, d=d, entries=entries, kind=DenseGaussian())
+
+
+def _stack(xs):
+    """One batch of vectors that share storage and nnz."""
+    indices = None if xs[0].indices is None else np.array([x.indices for x in xs])
+    return InputBatch(xs[0].dim, np.array([x.values for x in xs]), indices)
 
 
 class TestApply:
@@ -87,6 +94,22 @@ class TestDistortion:
         with pytest.raises(ValueError, match="unit"):
             distortion(t, InputVector(dim=20, values=np.full(20, 0.5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_rejects_non_finite_input(self, bad, sparse):
+        """A NaN or infinite norm fails the unit-norm gate."""
+        t = sample_transform(DenseGaussian(), 5, 3, SeedSpec(2, 5))
+        if sparse:
+            x = InputVector(dim=3, values=np.array([bad]), indices=np.array([1]))
+            xs = InputBatch(3, np.array([[1.0], [bad]]), np.array([[0], [1]]))
+        else:
+            x = InputVector(dim=3, values=np.array([bad, 0.0, 0.0]))
+            xs = InputBatch(3, np.array([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="unit"):
+            distortion(t, x)
+        with pytest.raises(ValueError, match="unit"):
+            distortion_batch(t, xs)
+
     def test_tolerates_round_trip_jitter(self):
         t = sample_transform(DenseGaussian(), 5, 20, SeedSpec(2, 3))
         x = sample_unit_sphere(20, SeedSpec(2, 4))
@@ -107,31 +130,28 @@ class TestDistortion:
 class TestDistortionBatch:
     def test_empty(self):
         t = sample_transform(Rademacher(), 4, 8, SeedSpec(0, 2))
-        out = distortion_batch(t, [])
+        out = distortion_batch(t, InputBatch(8, np.empty((0, 8))))
         assert out.dtype == np.float64 and out.shape == (0,)
 
     def test_singleton_matches_scalar_bitwise(self):
         t = sample_transform(AchlioptasSparse(), 20, 64, SeedSpec(0, 3))
         x = sample_unit_sphere(64, SeedSpec(0, 4))
-        out = distortion_batch(t, [x])
+        out = distortion_batch(t, x.batch())
         assert out.dtype == np.float64 and out.shape == (1,)
         assert out[0] == distortion(t, x)
 
     def test_order_and_ids(self):
         t = sample_transform(GraphSparse(3), 10, 40, SeedSpec(0, 5))
         xs = [sample_sparse_unit(40, 4, SeedSpec(1, i)) for i in range(5)]
-        deltas = distortion_batch(t, xs)
+        deltas = distortion_batch(t, _stack(xs))
         assert deltas.dtype == np.float64 and deltas.shape == (5,)
         for delta, x in zip(deltas, xs):
             assert delta == distortion(t, x)
 
-    def test_mismatch_names_offending_index(self):
+    def test_dimension_mismatch_rejected(self):
         t = sample_transform(Rademacher(), 4, 8, SeedSpec(0, 6))
-        xs = [
-            InputVector(dim=8, values=np.zeros(8)),
-            InputVector(dim=7, values=np.zeros(7)),
-        ]
-        with pytest.raises(ValueError, match="index 1"):
+        xs = InputBatch(7, np.zeros((2, 7)))
+        with pytest.raises(ValueError, match="dimension 7"):
             distortion_batch(t, xs)
 
 
@@ -191,8 +211,58 @@ class TestWorkCounter:
         layout = sample_transform(GraphSparse(16), 50, 1000, SeedSpec(6, 7))
         xs = [sample_sparse_unit(1000, 5, SeedSpec(7, i)) for i in range(3)]
         counter = WorkCounter()
-        distortion_batch(layout, xs, counter=counter)
+        distortion_batch(layout, _stack(xs), counter=counter)
         assert counter.entries_touched == 3 * 5 * 16
+
+
+def _accepted(make):
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+class TestBatchMatchesRows:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_batch_agrees_with_its_rows(self, data):
+        """A batch is accepted exactly when each row is accepted as an
+        InputVector, and its deltas are its rows' deltas (graph bitwise,
+        dense transforms within 1e-12)."""
+        dim = data.draw(st.integers(min_value=1, max_value=6), label="dim")
+        n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+        if data.draw(st.booleans(), label="sparse"):
+            t = data.draw(st.integers(min_value=1, max_value=min(dim, 4)), label="t")
+            valid = st.lists(st.integers(0, dim - 1), min_size=t, max_size=t, unique=True).map(sorted)
+            arbitrary = st.lists(st.integers(-1, dim), min_size=t, max_size=t)
+            indices = np.array([data.draw(st.one_of(valid, arbitrary)) for _ in range(n)])
+            width = t
+        else:
+            indices = None
+            width = data.draw(st.sampled_from([dim, dim + 1, max(1, dim - 1)]), label="width")
+        magnitudes = st.floats(min_value=0.5, max_value=2.0)
+        values = np.array([data.draw(st.lists(magnitudes, min_size=width, max_size=width)) for _ in range(n)])
+        values *= data.draw(st.sampled_from([1.0, -1.0]))
+        values /= np.linalg.norm(values, axis=1, keepdims=True)
+
+        accepted = _accepted(lambda: InputBatch(dim, values, indices))
+        rows = [
+            _accepted(lambda i=i: InputVector(dim, values[i], None if indices is None else indices[i]))
+            for i in range(n)
+        ]
+        assert accepted == all(rows)
+        if not accepted:
+            return
+        batch = InputBatch(dim, values, indices)
+        kind = data.draw(st.sampled_from(KINDS), label="kind")
+        transform = sample_transform(kind, 8, dim, SeedSpec(70, data.draw(st.integers(0, 3))))
+        deltas = distortion_batch(transform, batch)
+        singles = np.array([distortion(transform, batch[i]) for i in range(n)])
+        if isinstance(kind, GraphSparse):
+            assert np.array_equal(deltas, singles)
+        else:
+            assert np.max(np.abs(deltas - singles)) <= 1e-12
 
 
 def _bincount_reference(layout, x):
@@ -204,12 +274,8 @@ def _bincount_reference(layout, x):
 
 
 def _mixed_inputs(d, seed):
-    """Dense and sparse vectors of two support sizes, interleaved in runs."""
-    xs = []
-    for i, t in enumerate([None, None, 3, 3, 3, None, 7, 7, 3, None]):
-        spec = SeedSpec(seed, i)
-        xs.append(sample_unit_sphere(d, spec) if t is None else sample_sparse_unit(d, t, spec))
-    return xs
+    """A mixed list of inputs: one dense and one sparse batch."""
+    return [sample_unit_sphere_batch(d, 4, SeedSpec(seed, 0)), sample_sparse_unit_batch(d, 3, 6, SeedSpec(seed, 1))]
 
 
 class TestBatchedKernel:
@@ -232,13 +298,14 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
     def test_dense_transforms_match_matrix_product(self, kind):
         transform = sample_transform(kind, self.K, self.D, SeedSpec(61, 0))
-        xs = sample_unit_sphere_batch(self.D, 30, SeedSpec(61, 1)) + sample_sparse_unit_batch(
-            self.D, 11, 30, SeedSpec(61, 2)
-        )
-        for x in xs:
-            assert np.max(np.abs(apply(transform, x) - transform.entries @ x.to_dense())) <= 1e-12
-        expected = [float(y @ y) - 1.0 for y in (transform.entries @ x.to_dense() for x in xs)]
-        assert np.max(np.abs(distortion_batch(transform, xs) - expected)) <= 1e-12
+        for xs in (
+            sample_unit_sphere_batch(self.D, 30, SeedSpec(61, 1)),
+            sample_sparse_unit_batch(self.D, 11, 30, SeedSpec(61, 2)),
+        ):
+            for x in xs:
+                assert np.max(np.abs(apply(transform, x) - transform.entries @ x.to_dense())) <= 1e-12
+            expected = [float(y @ y) - 1.0 for y in (transform.entries @ x.to_dense() for x in xs)]
+            assert np.max(np.abs(distortion_batch(transform, xs) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
@@ -252,7 +319,7 @@ class TestBatchedKernel:
         whole = distortion_batch(transform, xs)
         width = 2 * 5 if sparse else self.D
         monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (width + self.K))
-        assert max(len(chunk) for _, chunk in apply_module._chunks(xs, self.K)) == rows
+        assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
         chunked = distortion_batch(transform, xs)
         if isinstance(kind, GraphSparse):
             assert np.array_equal(chunked, whole)
@@ -262,19 +329,20 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
     def test_mixed_list_keeps_order(self, kind):
         transform = sample_transform(kind, self.K, self.D, SeedSpec(63, 0))
-        xs = _mixed_inputs(self.D, 64)
-        deltas = distortion_batch(transform, xs)
-        one_by_one = np.array([distortion(transform, x) for x in xs])
-        if isinstance(kind, GraphSparse):
-            assert np.array_equal(deltas, one_by_one)
-        else:
-            assert np.max(np.abs(deltas - one_by_one)) <= 1e-12
+        for xs in _mixed_inputs(self.D, 64):
+            deltas = distortion_batch(transform, xs)
+            one_by_one = np.array([distortion(transform, x) for x in xs])
+            if isinstance(kind, GraphSparse):
+                assert np.array_equal(deltas, one_by_one)
+            else:
+                assert np.max(np.abs(deltas - one_by_one)) <= 1e-12
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
     def test_counter_sums_over_mixed_list(self, kind):
         transform = sample_transform(kind, self.K, self.D, SeedSpec(65, 0))
-        xs = _mixed_inputs(self.D, 66)
+        batches = _mixed_inputs(self.D, 66)
         counter = WorkCounter()
-        distortion_batch(transform, xs, counter)
+        for xs in batches:
+            distortion_batch(transform, xs, counter)
         per_entry = kind.s if isinstance(kind, GraphSparse) else self.K
-        assert counter.entries_touched == per_entry * sum(x.nnz for x in xs)
+        assert counter.entries_touched == per_entry * sum(x.nnz for xs in batches for x in xs)

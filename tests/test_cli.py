@@ -204,20 +204,44 @@ def test_missing_output_directory_fails_before_sampling(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("sampling started before the block was checked")
+
+
 @pytest.mark.parametrize("command", ["sweep-s", "sweep-k"])
 def test_dense_input_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
-    from jlproj import experiments
+    from jlproj import core
 
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("sampling started before the input block was checked")
-
-    monkeypatch.setattr(experiments, "sample_unit_sphere_batch", must_not_run)
-    monkeypatch.setattr(experiments, "sample_sparse_unit_batch", must_not_run)
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
     argv = [command, "--n", "1100000", "--d", "1000", "--k", "16", "--trials", "1"]
     assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: dense input block") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-t", "cdf"])
+def test_sparse_input_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
+    """n * t above the entry budget: 1100000 x 1000 sparse inputs."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    argv = [command, "--n", "1100000", "--d", "1000", "--t", "1000", "--k", "16", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sparse input block of 1100000x1000") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_graph_layout_budget_exits_three_before_drawing(capsys, monkeypatch):
+    """verify --pairs P samples a 2P-column layout: 2 * 40M * 16 entries."""
+    from jlproj import constructions
+
+    monkeypatch.setattr(constructions, "sample_without_replacement", _must_not_run)
+    assert cli_main(["verify", "--trials", "1", "--pairs", "40000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: graph layout of 80000000x16") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_failed_write_leaves_no_partial_output(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from jlproj.core import (
     GraphSparse,
+    InputBatch,
     InputVector,
     SeedSpec,
     derive_stream,
@@ -160,6 +161,10 @@ class TestInputVectorValidation:
         with pytest.raises(ValueError, match="align"):
             InputVector(dim=10, values=np.ones(3), indices=np.array([1, 2]))
 
+    def test_sparse_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            InputVector(dim=3, values=np.array([1.0]), indices=np.array([1.7]))
+
     def test_support_marginals_uniform(self):
         """Each index appears with frequency 4 SE around t/d; chi-square at 0.001."""
         d, t, n = 100, 3, 100_000
@@ -187,6 +192,45 @@ class TestInputVectorValidation:
             assert np.all(np.diff(x.indices) > 0)
         y = sample_unit_sphere(d, SeedSpec(seed, 1))
         assert abs(y.sq_norm() - 1.0) <= 1e-12
+
+
+class TestInputBatch:
+    def test_wrong_width(self):
+        with pytest.raises(ValueError, match="4 values per row"):
+            InputBatch(4, np.zeros((2, 3)))
+
+    def test_misaligned_storage(self):
+        with pytest.raises(ValueError, match="align"):
+            InputBatch(10, np.ones((2, 3)), np.array([[1, 2], [3, 4]]))
+
+    def test_values_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="2-D"):
+            InputBatch(4, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [[[0, 1], [3, 10]], [[-1, 1], [3, 4]]], ids=["too-large", "negative"])
+    def test_index_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            InputBatch(10, np.ones((2, 2)), np.array(bad))
+
+    def test_row_must_increase(self):
+        with pytest.raises(ValueError, match="increasing"):
+            InputBatch(10, np.ones((2, 2)), np.array([[1, 2], [5, 5]]))
+
+    def test_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            InputBatch(3, np.ones((1, 1)), np.array([[1.0]]))
+
+    def test_rows_are_views(self):
+        batch = sample_sparse_unit_batch(50, 4, 6, SeedSpec(14, 0))
+        assert len(batch) == 6
+        row = batch[2]
+        assert row.dim == 50 and row.nnz == 4
+        assert np.shares_memory(row.values, batch.values) and np.shares_memory(row.indices, batch.indices)
+        assert np.array_equal(row.values, batch.values[2]) and np.array_equal(row.indices, batch.indices[2])
+        dense = sample_unit_sphere_batch(7, 3, SeedSpec(14, 1))
+        assert dense[1].indices is None and np.shares_memory(dense[1].values, dense.values)
+        with pytest.raises(IndexError):
+            batch[6]
 
 
 class TestWithoutReplacement:
