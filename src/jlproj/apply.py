@@ -62,11 +62,13 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
 
     The products use only the columns of each input's support: nnz(x) * s
     stored entries of the graph construction, k * nnz(x) of a dense
-    transform (for a sparse chunk scipy first copies ``entries.T`` into C
-    order).
+    transform.  Sparse chunks take a C-ordered copy of ``entries.T``, made
+    once here: given the transposed view, scipy would copy it per chunk.
     """
     graph = isinstance(transform, SparseColumnLayout)
     op = _operator(transform)
+    if xs.indices is not None and not graph:
+        op = np.ascontiguousarray(op)
     n, nnz = xs.values.shape
     rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
     for start in range(0, n, rows):

@@ -90,11 +90,25 @@ Transform = Union[DenseTransform, SparseColumnLayout]
 def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> Transform:
     """Sample a transform of the given family; deterministic in ``seed``.
 
-    Draw order is fixed per family (documented here so fixtures stay
-    stable): Gaussian/Rademacher draw the (k, d) entry block in one call;
-    AchlioptasSparse draws one (k, d) uniform block and maps
-    [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> 0;
-    GraphSparse draws all column row-subsets first, then all signs.
+    Each family makes one generator call for its values, in a fixed
+    convention (documented here so fixtures stay stable):
+
+    * DenseGaussian: one (k, d) ``standard_normal`` block, divided by
+      sqrt(k).
+    * Rademacher: ``ceil(k*d / 8)`` bytes from ``integers(0, 256,
+      dtype=uint8)``, unpacked most significant bit first into k*d bits
+      read in row-major (k, d) order; bit 1 stores +1/sqrt(k) and bit 0
+      stores -1/sqrt(k).
+    * AchlioptasSparse: one (k, d) ``random`` block, mapped
+      [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> 0.
+    * GraphSparse: all column row-subsets first
+      (:func:`~jlproj.core.sample_without_replacement`), then a (d, s)
+      block of ``integers(0, 2)`` signs, 1 -> +1 and 0 -> -1.
+
+    Gaussian and Achlioptas values are bit-identical to those of the
+    earlier out-of-place maps; Rademacher signs moved from one
+    ``integers(0, 2)`` per entry to packed bytes, so Rademacher transforms
+    differ from those drawn before that change.
     """
     if k < 1 or d < 1:
         raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
@@ -112,13 +126,23 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     check_entry_budget("dense transform", k, d)
     rng = derive_stream(seed)
     if isinstance(kind, DenseGaussian):
-        entries = rng.standard_normal((k, d)) / np.sqrt(k)
+        entries = rng.standard_normal((k, d))
+        entries /= np.sqrt(k)
     elif isinstance(kind, Rademacher):
-        entries = (2.0 * rng.integers(0, 2, size=(k, d)) - 1.0) / np.sqrt(k)
+        packed = rng.integers(0, 256, size=-(-k * d // 8), dtype=np.uint8)
+        entries = np.unpackbits(packed, count=k * d).astype(np.float64).reshape(k, d)
+        # 2/sqrt(k) is exactly twice 1/sqrt(k), so b -> 2b/sqrt(k) - 1/sqrt(k)
+        # stores exactly +-(1/sqrt(k)).
+        entries *= 2.0 / np.sqrt(k)
+        entries -= 1.0 / np.sqrt(k)
     elif isinstance(kind, AchlioptasSparse):
         u = rng.random((k, d))
         value = np.sqrt(3.0 / k)
-        entries = np.where(u < 1.0 / 6.0, value, np.where(u < 1.0 / 3.0, -value, 0.0))
+        # Index 0, 1, 2 for u in [0, 1/6), [1/6, 1/3), [1/3, 1).  Plain
+        # indexing keeps the uint8 index; np.take would widen it to intp.
+        index = (u >= 1.0 / 6.0).view(np.uint8) + (u >= 1.0 / 3.0).view(np.uint8)
+        del u  # so the uniforms and the entries are never held at once
+        entries = np.array([value, -value, 0.0])[index]
     else:
         raise TypeError(f"unknown construction kind: {kind!r}")
     entries.setflags(write=False)

@@ -14,6 +14,17 @@ Draw conventions (fixed so that golden fixtures stay stable):
 * uniforms: ``Generator.random`` (53-bit float64 in [0, 1))
 * normals:  ``Generator.standard_normal`` (numpy's ziggurat method)
 * bounded integers: ``Generator.integers`` (Lemire rejection sampling)
+* fair bits: ``ceil(n / 8)`` bytes from ``Generator.integers(0, 256,
+  dtype=uint8)``, unpacked most significant bit first into n bits read in
+  row-major order of the block they fill
+
+Each transform family has one draw convention, documented in
+:func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
+bits (k*d of them, bit 1 -> +1/sqrt(k)), Gaussian entries scaled normals
+and Achlioptas entries mapped uniforms.  The Gaussian and Achlioptas values
+are bit-identical to those of the earlier out-of-place maps (a divided
+copy, a nested ``np.where``); only Rademacher moved, from one
+``integers(0, 2)`` per entry to packed bits.
 
 Each input family has one draw convention, defined by its batch sampler
 (:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a
@@ -48,6 +59,11 @@ def check_entry_budget(what: str, rows: int, cols: int) -> None:
     """Raise ResourceLimitError when a rows x cols block exceeds MAX_DENSE_ENTRIES."""
     if rows * cols > MAX_DENSE_ENTRIES:
         raise ResourceLimitError(f"{what} of {rows}x{cols} entries exceeds the {MAX_DENSE_ENTRIES} entry budget")
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"batch size must be non-negative, got count={count}")
 
 
 @dataclass(frozen=True)
@@ -198,6 +214,7 @@ def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> InputBatch:
     """``count`` independent sphere vectors from one stream (row-by-row normals)."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
+    _check_count(count)
     check_entry_budget("dense input block", count, d)
     rng = derive_stream(seed)
     block = rng.standard_normal((count, d))
@@ -222,6 +239,7 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
         raise ValueError(f"dimension must be positive, got d={d}")
     if t < 1 or t > d:
         raise ValueError(f"support size must satisfy 1 <= t <= d, got t={t}, d={d}")
+    _check_count(count)
     check_entry_budget("sparse input block", count, t)
     rng = derive_stream(seed)
     idx = sample_without_replacement(d, t, rng, count=count)
@@ -233,26 +251,32 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
 
 
 def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates, shape (count, m).
+    """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates, int64 (count, m).
 
     Exactly uniform over the C(n, m) subsets.  The full-set case m == n
-    consumes no draws.  Memory is bounded by chunking the per-subset pools.
+    consumes no draws.  Memory is bounded by chunking the per-subset pools:
+    each chunk of ``_FY_CHUNK_BYTES // (8 * n)`` subsets draws its m
+    ``integers(j, n, size=chunk)`` vectors in turn, so that row count is
+    part of the draw order and stays tied to 8 bytes per entry even though
+    the pool is held in the narrowest integer type that fits n.
     """
+    _check_count(count)
     if m < 0 or m > n:
         raise ValueError(f"subset size must satisfy 0 <= m <= n, got m={m}, n={n}")
     if m == n:
         return np.broadcast_to(np.arange(n, dtype=np.int64), (count, n)).copy()
 
-    chunk = max(1, _FY_CHUNK_BYTES // (8 * max(n, 1)))
-    pieces = []
+    chunk = max(1, _FY_CHUNK_BYTES // (8 * n))
+    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    out = np.empty((count, m), dtype=np.int64)
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
-        pool = np.broadcast_to(np.arange(n, dtype=np.int64), (c, n)).copy()
+        pool = np.broadcast_to(np.arange(n, dtype=dtype), (c, n)).copy()
         ar = np.arange(c)
         for j in range(m):
             pick = rng.integers(j, n, size=c)
-            chosen = pool[ar, pick].copy()
+            chosen = pool[ar, pick]
             pool[ar, pick] = pool[:, j]
             pool[:, j] = chosen
-        pieces.append(np.sort(pool[:, :m], axis=1))
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+        out[start : start + c] = np.sort(pool[:, :m], axis=1)
+    return out

@@ -326,6 +326,20 @@ class TestBatchedKernel:
         else:
             assert np.max(np.abs(chunked - whole)) <= 1e-12
 
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_dense_transform_sparse_input_chunking_is_bitwise(self, kind, monkeypatch):
+        """Every chunk multiplies the same C-ordered operator, so 1, 2 and 3
+        rows per chunk give the same bits as one chunk."""
+        transform = sample_transform(kind, self.K, self.D, SeedSpec(62, 0))
+        xs = sample_sparse_unit_batch(self.D, 5, 20, SeedSpec(62, 1))
+        whole = np.vstack([Y for _, Y in apply_module._project(transform, xs, None)])
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * 5 + self.K))
+            chunks = list(apply_module._project(transform, xs, None))
+            assert max(len(Y) for _, Y in chunks) == rows
+            assert np.array_equal(np.vstack([Y for _, Y in chunks]), whole)
+            assert np.array_equal(distortion_batch(transform, xs), [float(y @ y) - 1.0 for y in whole])
+
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
     def test_mixed_list_keeps_order(self, kind):
         transform = sample_transform(kind, self.K, self.D, SeedSpec(63, 0))

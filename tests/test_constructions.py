@@ -78,6 +78,25 @@ class TestDenseKinds:
         t = sample_transform(Rademacher(), 10, 40, SeedSpec(1, 0))
         assert set(np.unique(t.entries)) == {-1.0 / math.sqrt(10), 1.0 / math.sqrt(10)}
 
+    def test_rademacher_signs_when_kd_is_not_a_multiple_of_8(self):
+        """k*d = 21: every entry is exactly +-1/sqrt(k), and over 10^5
+        entries the +1 share is within 4 SE of 1/2."""
+        k, d = 3, 7
+        scale = 1.0 / np.sqrt(k)
+        trials = -(-(10**5) // (k * d))
+        blocks = np.stack([sample_transform(Rademacher(), k, d, SeedSpec(5, i)).entries for i in range(trials)])
+        assert np.all((blocks == scale) | (blocks == -scale))
+        assert abs(np.mean(blocks > 0) - 0.5) <= 4.0 * math.sqrt(0.25 / blocks.size)
+
+    def test_rademacher_draw_convention(self):
+        """ceil(k*d/8) bytes, unpacked most significant bit first in
+        row-major order; bit 1 -> +1/sqrt(k), bit 0 -> -1/sqrt(k)."""
+        k, d = 3, 7
+        raw = derive_stream(SeedSpec(5, 0)).integers(0, 256, size=3, dtype=np.uint8)
+        bits = [(int(byte) >> (7 - i)) & 1 for byte in raw for i in range(8)][: k * d]
+        expected = np.array([1.0 if b else -1.0 for b in bits]).reshape(k, d) / np.sqrt(k)
+        assert np.array_equal(sample_transform(Rademacher(), k, d, SeedSpec(5, 0)).entries, expected)
+
     def test_achlioptas_value_set_and_zero_fraction(self):
         """Values in {0, +-sqrt(3/k)}; zero fraction within 4 SE of 2/3."""
         k, d = 100, 1000

@@ -248,3 +248,62 @@ class TestWithoutReplacement:
         rng = derive_stream(SeedSpec(0, 2))
         with pytest.raises(ValueError):
             sample_without_replacement(3, 4, rng, count=1)
+
+    @pytest.mark.parametrize("m", [0, 3, 10])
+    def test_empty_batch(self, m):
+        out = sample_without_replacement(10, m, derive_stream(SeedSpec(0, 3)), count=0)
+        assert out.shape == (0, m) and out.dtype == np.int64
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count=-1"):
+            sample_without_replacement(10, 3, derive_stream(SeedSpec(0, 4)), count=-1)
+
+    @pytest.mark.parametrize(
+        "n,m,count",
+        [(10, 3, 7), (1 << 15, 4, 300), ((1 << 15) + 1, 4, 300), (40_000, 6, 1200), (50, 16, 90_000)],
+    )
+    def test_matches_int64_reference(self, n, m, count):
+        """The narrow pool draws and returns exactly what an int64 pool does,
+        across dtype boundaries and over several chunks."""
+        got = sample_without_replacement(n, m, derive_stream(SeedSpec(0, 5)), count=count)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_subsets(n, m, derive_stream(SeedSpec(0, 5)), count))
+
+
+def _reference_subsets(n, m, rng, count):
+    """Partial Fisher-Yates on an int64 pool, chunked as the sampler documents."""
+    chunk = max(1, (1 << 25) // (8 * n))
+    pieces = []
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
+        pool = np.tile(np.arange(n, dtype=np.int64), (c, 1))
+        for j in range(m):
+            pick = rng.integers(j, n, size=c)
+            chosen = pool[np.arange(c), pick].copy()
+            pool[np.arange(c), pick] = pool[:, j]
+            pool[:, j] = chosen
+        pieces.append(np.sort(pool[:, :m], axis=1))
+    return np.concatenate(pieces, axis=0)
+
+
+class TestEmptyAndNegativeBatches:
+    def test_empty_sparse_batch(self):
+        batch = sample_sparse_unit_batch(10, 3, 0, SeedSpec(0, 0))
+        assert len(batch) == 0
+        assert batch.values.shape == (0, 3) and batch.indices.shape == (0, 3)
+        assert batch.indices.dtype == np.int64
+
+    def test_empty_sphere_batch(self):
+        assert sample_unit_sphere_batch(10, 0, SeedSpec(0, 0)).values.shape == (0, 10)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_sparse_unit_batch(10, 3, -1, SeedSpec(0, 0)),
+            lambda: sample_unit_sphere_batch(10, -1, SeedSpec(0, 0)),
+        ],
+        ids=["sparse", "sphere"],
+    )
+    def test_negative_count_rejected(self, draw):
+        with pytest.raises(ValueError, match="non-negative"):
+            draw()
