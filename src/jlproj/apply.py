@@ -13,6 +13,13 @@ its terms in CSR column order, i.e. in index order of the input's support,
 so results do not depend on the chunking and a sparse input and its
 densified copy agree bitwise.  For a dense transform the product is one
 BLAS call per chunk, whose summation order is the library's.
+
+Epilogue: each chunk's squared norms |y|^2 come from one batched
+``(1, k) @ (k, 1)`` matmul over its rows, which runs the same dot kernel
+per row as ``y @ y``, so deltas are bitwise those of a per-row loop.  The
+unit-norm gate reads the batch's cached row norms
+(:attr:`~jlproj.core.InputBatch.norms`), so the norms of a batch shared
+by many transforms are computed once.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
             X = csr_array((X.ravel(), indices, np.arange(c + 1) * nnz), shape=(c, transform.d))
         Y = X @ op
         # A sparse product comes back as CSR, a dense-by-CSR one transposed;
-        # rows must be contiguous, or y @ y takes another summation kernel.
+        # rows must be contiguous, or the epilogue's dot takes another summation kernel.
         Y = Y.toarray() if issparse(Y) else np.ascontiguousarray(Y)
         if graph:
             Y *= transform.scale
@@ -104,17 +111,18 @@ def distortion(transform: Transform, x: InputVector, counter: WorkCounter | None
 def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter | None = None) -> np.ndarray:
     """float64 array of delta = |Rx|^2 - 1 for each row x of ``xs``, in order.
 
-    The batch's dimension is checked first, then every row's norm must be
-    within UNIT_NORM_TOL of 1 (a NaN or infinite norm fails); the rows are
-    then projected chunk by chunk.
+    The batch's dimension is checked first, then every row's norm (cached
+    on the batch) must be within UNIT_NORM_TOL of 1 (a NaN or infinite norm
+    fails); the rows are then projected chunk by chunk.
     """
     _check_dimension(transform, xs)
-    # einsum sums each row's squares without an (n, d) temporary.
-    norms = np.sqrt(np.einsum("ij,ij->i", xs.values, xs.values))
+    norms = xs.norms
     bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         raise ValueError(f"distortion requires a unit vector, got |x| = {float(norms[bad][0])!r}")
     deltas = np.empty(len(xs))
     for start, Y in _project(transform, xs, counter):
-        deltas[start : start + len(Y)] = [float(y @ y) - 1.0 for y in Y]
+        # Per row, numpy's matmul runs the same dot kernel as y @ y (an
+        # einsum would sum in another order), so deltas are bitwise unchanged.
+        deltas[start : start + len(Y)] = np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] - 1.0
     return deltas

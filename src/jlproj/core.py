@@ -17,6 +17,10 @@ Draw conventions (fixed so that golden fixtures stay stable):
 * fair bits: ``ceil(n / 8)`` bytes from ``Generator.integers(0, 256,
   dtype=uint8)``, unpacked most significant bit first into n bits read in
   row-major order of the block they fill
+* uniform m-subsets: partial Fisher-Yates on per-subset pools, drawn in
+  fixed chunks of subsets (:func:`subset_blocks`); the blocks it yields are
+  the draw order, and :func:`sample_without_replacement` is their
+  concatenation
 
 Each transform family has one draw convention, documented in
 :func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
@@ -36,6 +40,7 @@ All floating-point arithmetic is float64 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -201,6 +206,14 @@ class InputBatch:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Euclidean norm of each row, computed on first use and kept (read-only)."""
+        # einsum sums each row's squares without an (n, d) temporary.
+        norms = np.sqrt(np.einsum("ij,ij->i", self.values, self.values))
+        norms.setflags(write=False)
+        return norms
+
     def __getitem__(self, i: int) -> InputVector:
         return InputVector(self.dim, self.values[i], None if self.indices is None else self.indices[i])
 
@@ -251,24 +264,41 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
 
 
 def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates, int64 (count, m).
+    """``count`` sorted uniform m-subsets of range(n), int64 (count, m): the
+    blocks of :func:`subset_blocks` in one array."""
+    blocks = subset_blocks(n, m, rng, count)
+    out = np.empty((count, m), dtype=np.int64)
+    for start, block in blocks:
+        out[start : start + len(block)] = block
+    return out
+
+
+def subset_blocks(n: int, m: int, rng: np.random.Generator, count: int):
+    """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates,
+    as an iterator of ``(start, block)``: ``block`` holds subsets
+    ``start, start + 1, ...`` as rows, in the narrowest integer type that fits n.
 
     Exactly uniform over the C(n, m) subsets.  The full-set case m == n
-    consumes no draws.  Memory is bounded by chunking the per-subset pools:
-    each chunk of ``_FY_CHUNK_BYTES // (8 * n)`` subsets draws its m
-    ``integers(j, n, size=chunk)`` vectors in turn, so that row count is
-    part of the draw order and stays tied to 8 bytes per entry even though
-    the pool is held in the narrowest integer type that fits n.
+    consumes no draws and is one read-only block.  Otherwise there is one
+    block per draw chunk of ``_FY_CHUNK_BYTES // (8 * n)`` subsets, each
+    drawing its m ``integers(j, n, size=chunk)`` vectors in turn, so the
+    blocks are the draw order: that row count stays tied to 8 bytes per
+    entry even though the pool is narrow.  Arguments are checked here, not
+    at the first block.
     """
     _check_count(count)
     if m < 0 or m > n:
         raise ValueError(f"subset size must satisfy 0 <= m <= n, got m={m}, n={n}")
-    if m == n:
-        return np.broadcast_to(np.arange(n, dtype=np.int64), (count, n)).copy()
+    return _fisher_yates_blocks(n, m, rng, count)
 
-    chunk = max(1, _FY_CHUNK_BYTES // (8 * n))
+
+def _fisher_yates_blocks(n: int, m: int, rng: np.random.Generator, count: int):
     dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
-    out = np.empty((count, m), dtype=np.int64)
+    if m == n:
+        if count:
+            yield 0, np.broadcast_to(np.arange(n, dtype=dtype), (count, n))
+        return
+    chunk = max(1, _FY_CHUNK_BYTES // (8 * n))
     for start in range(0, count, chunk):
         c = min(chunk, count - start)
         pool = np.broadcast_to(np.arange(n, dtype=dtype), (c, n)).copy()
@@ -278,5 +308,4 @@ def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: 
             chosen = pool[ar, pick]
             pool[ar, pick] = pool[:, j]
             pool[:, j] = chosen
-        out[start : start + c] = np.sort(pool[:, :m], axis=1)
-    return out
+        yield start, np.sort(pool[:, :m], axis=1)

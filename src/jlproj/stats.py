@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .apply import distortion
 from .constructions import SparseColumnLayout, sample_transform
@@ -28,10 +27,12 @@ from .core import (
     AchlioptasSparse,
     ConstructionKind,
     DenseGaussian,
-    GraphSparse,
     Rademacher,
     SeedSpec,
+    check_entry_budget,
+    derive_stream,
     sample_unit_sphere,
+    subset_blocks,
 )
 
 
@@ -131,15 +132,44 @@ def collision_count(layout: SparseColumnLayout, i: int, j: int) -> int:
     return int(np.intersect1d(layout.rows[i], layout.rows[j], assume_unique=True).size)
 
 
-def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> np.ndarray:
-    """Collision counts of ``num_pairs`` independent column pairs.
+# Column pairs compared at once: the (pairs, s, s) comparison stays near 4 MB.
+_PAIR_BYTES = 1 << 22
 
-    Samples one graph-construction layout with 2*num_pairs columns and
-    counts row collisions between columns (2m, 2m+1), so every pair is an
-    independent draw of the per-pair collision law.
+
+def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> np.ndarray:
+    """Collision counts of ``num_pairs`` independent column pairs, int64.
+
+    Columns (2m, 2m+1) of the graph-construction layout
+    ``sample_transform(GraphSparse(s), k, 2 * num_pairs, seed)`` form pair m,
+    so every pair is an independent draw of the per-pair collision law.  A
+    layout draws its rows before its signs, so the rows are streamed here
+    block by block from the same draws (:func:`~jlproj.core.subset_blocks`)
+    and the signs are never drawn; the layout's entry budget still applies.
     """
-    layout = sample_transform(GraphSparse(s), k, 2 * num_pairs, seed)
-    r = layout.rows.reshape(num_pairs, 2, s)
+    if s < 1 or num_pairs < 1:
+        raise ValueError(f"need s >= 1 and num_pairs >= 1, got s={s}, num_pairs={num_pairs}")
+    if s > k:
+        raise ValueError(f"column sparsity s={s} exceeds k={k}")
+    check_entry_budget("graph layout", 2 * num_pairs, s)
+    counts = np.empty(num_pairs, dtype=np.int64)
+    step = 2 * max(1, _PAIR_BYTES // (s * s))
+    left = None  # even column whose partner starts the next block
+    for start, block in subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):
+        if start % 2:
+            counts[start // 2] = _pair_collisions(np.stack([left, block[0]]))[0]
+            start, block = start + 1, block[1:]
+        if len(block) % 2:
+            left = block[-1].copy()
+            block = block[:-1]
+        for i in range(0, len(block), step):
+            pairs = block[i : i + step]
+            counts[(start + i) // 2 : (start + i + len(pairs)) // 2] = _pair_collisions(pairs)
+    return counts
+
+
+def _pair_collisions(rows: np.ndarray) -> np.ndarray:
+    """Common entries of rows (2m, 2m+1) for each m; rows hold distinct values."""
+    r = rows.reshape(-1, 2, rows.shape[1])
     return (r[:, 0, :, None] == r[:, 1, None, :]).sum(axis=(1, 2))
 
 
@@ -275,6 +305,8 @@ def chi_square_gof(observed_counts, expected_probs, alpha: float = 0.001):
     regularized lower incomplete gamma P: the formula scipy.stats.chi2.ppf
     evaluates, without importing scipy.stats.
     """
+    from scipy.special import gammaincinv  # off the import path of the CLI
+
     obs = np.asarray(observed_counts, dtype=np.float64)
     probs = np.asarray(expected_probs, dtype=np.float64)
     if obs.shape != probs.shape:

@@ -340,6 +340,32 @@ class TestBatchedKernel:
             assert np.array_equal(np.vstack([Y for _, Y in chunks]), whole)
             assert np.array_equal(distortion_batch(transform, xs), [float(y @ y) - 1.0 for y in whole])
 
+    @pytest.mark.parametrize("k", [1, 3, 50, 51, 400])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "sparse_input"])
+    def test_epilogue_is_bitwise_the_per_row_loop(self, k, kind, sparse):
+        if isinstance(kind, GraphSparse):
+            kind = GraphSparse(min(kind.s, k))
+        transform = sample_transform(kind, k, self.D, SeedSpec(67, k))
+        if sparse:
+            xs = sample_sparse_unit_batch(self.D, 7, 40, SeedSpec(67, 1))
+        else:
+            xs = sample_unit_sphere_batch(self.D, 40, SeedSpec(67, 1))
+        Y = np.vstack([Y for _, Y in apply_module._project(transform, xs, None)])
+        assert np.array_equal(distortion_batch(transform, xs), [float(y @ y) - 1.0 for y in Y])
+
+    def test_batch_norms_computed_once(self, monkeypatch):
+        xs = sample_unit_sphere_batch(self.D, 10, SeedSpec(68, 0))
+        kinds = (DenseGaussian(), GraphSparse(6))
+        transforms = [sample_transform(kind, self.K, self.D, SeedSpec(68, 1)) for kind in kinds]
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+        first = distortion_batch(transforms[0], xs)
+        distortion_batch(transforms[1], xs)
+        assert len(calls) == 1
+        assert np.array_equal(distortion_batch(transforms[0], xs), first)
+
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
     def test_mixed_list_keeps_order(self, kind):
         transform = sample_transform(kind, self.K, self.D, SeedSpec(63, 0))

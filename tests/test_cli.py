@@ -234,10 +234,11 @@ def test_sparse_input_budget_exits_three_before_sampling(command, tmp_path, caps
 
 
 def test_graph_layout_budget_exits_three_before_drawing(capsys, monkeypatch):
-    """verify --pairs P samples a 2P-column layout: 2 * 40M * 16 entries."""
-    from jlproj import constructions
+    """verify --pairs P streams the rows of a 2P-column layout: 2 * 40M * 16 entries."""
+    from jlproj import constructions, stats
 
     monkeypatch.setattr(constructions, "sample_without_replacement", _must_not_run)
+    monkeypatch.setattr(stats, "subset_blocks", _must_not_run)
     assert cli_main(["verify", "--trials", "1", "--pairs", "40000000"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: graph layout of 80000000x16") and captured.err.count("\n") == 1

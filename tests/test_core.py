@@ -19,6 +19,7 @@ from jlproj.core import (
     sample_unit_sphere,
     sample_unit_sphere_batch,
     sample_without_replacement,
+    subset_blocks,
 )
 from jlproj.stats import chi_square_gof
 
@@ -268,6 +269,30 @@ class TestWithoutReplacement:
         got = sample_without_replacement(n, m, derive_stream(SeedSpec(0, 5)), count=count)
         assert got.dtype == np.int64
         assert np.array_equal(got, _reference_subsets(n, m, derive_stream(SeedSpec(0, 5)), count))
+
+
+    @pytest.mark.parametrize(
+        "n,m,count",
+        [(10, 3, 7), (50, 16, 90_000), ((1 << 15) + 1, 4, 300), (5, 5, 4), (10, 0, 3), (10, 3, 0)],
+    )
+    def test_blocks_concatenate_to_the_sampler(self, n, m, count):
+        """Blocks are consecutive, narrow and, joined, the sampler's output;
+        the full set consumes no draws."""
+        rng = derive_stream(SeedSpec(0, 6))
+        blocks = list(subset_blocks(n, m, rng, count))
+        assert [start for start, _ in blocks] == [sum(len(b) for _, b in blocks[:i]) for i in range(len(blocks))]
+        assert all(b.dtype == (np.int16 if n <= 1 << 15 else np.int32) for _, b in blocks)
+        joined = np.concatenate([b for _, b in blocks]) if blocks else np.empty((0, m), dtype=np.int64)
+        assert np.array_equal(joined, sample_without_replacement(n, m, derive_stream(SeedSpec(0, 6)), count))
+        if m == n:
+            assert rng.random() == derive_stream(SeedSpec(0, 6)).random()
+
+    def test_blocks_check_arguments_when_called(self):
+        rng = derive_stream(SeedSpec(0, 7))
+        with pytest.raises(ValueError, match="count=-1"):
+            subset_blocks(10, 3, rng, count=-1)
+        with pytest.raises(ValueError, match="subset size"):
+            subset_blocks(3, 4, rng, count=1)
 
 
 def _reference_subsets(n, m, rng, count):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from jlproj.stats import (
     tail_bound_report,
 )
 from jlproj.constructions import sample_transform
+from jlproj import core, stats
 
 
 class TestQuantile:
@@ -215,6 +217,46 @@ class TestCollisions:
         assert direct == list(broadcast)
 
 
+def _layout_counts(k, s, num_pairs, seed):
+    """Reference: the counts of one whole sampled layout, compared all at once."""
+    r = sample_transform(GraphSparse(s), k, 2 * num_pairs, seed).rows.reshape(num_pairs, 2, s)
+    return (r[:, 0, :, None] == r[:, 1, None, :]).sum(axis=(1, 2))
+
+
+class TestStreamedCollisions:
+    @pytest.mark.parametrize("k,s,num_pairs", [(50, 16, 100_000), (4, 2, 100_000), (6, 6, 2000), (2, 1, 10_000)])
+    def test_counts_equal_the_layout_rows(self, k, s, num_pairs):
+        """(50, 16, 10^5) spans three draw chunks; (6, 6) is the full-set case."""
+        seed = SeedSpec(10, k)
+        got = sample_collision_counts(k, s, num_pairs, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _layout_counts(k, s, num_pairs, seed))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("k,s,num_pairs", [(3, 2, 101), (9, 4, 250), (50, 16, 301), (6, 6, 20)])
+    def test_odd_and_tiny_chunks(self, chunk_rows, k, s, num_pairs, monkeypatch):
+        """Pairs that straddle a draw chunk, and comparison sub-blocks of three pairs."""
+        monkeypatch.setattr(core, "_FY_CHUNK_BYTES", 8 * k * chunk_rows)
+        monkeypatch.setattr(stats, "_PAIR_BYTES", 3 * s * s)
+        seed = SeedSpec(11, chunk_rows)
+        assert np.array_equal(sample_collision_counts(k, s, num_pairs, seed), _layout_counts(k, s, num_pairs, seed))
+
+    def test_peak_memory(self):
+        """Streaming holds one draw chunk, not the 2*10^5-column layout (76 MB before)."""
+        tracemalloc.start()
+        try:
+            sample_collision_counts(50, 16, 100_000, SeedSpec(10, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
+
+    @pytest.mark.parametrize("k,s,num_pairs", [(4, 5, 10), (4, 0, 10), (4, 2, 0)])
+    def test_bad_arguments(self, k, s, num_pairs):
+        with pytest.raises(ValueError):
+            sample_collision_counts(k, s, num_pairs, SeedSpec(0, 0))
+
+
 class TestCollisionTail:
     def test_full_density_never_exceeds(self):
         report = collision_tail_check(6, 6, 2000, SeedSpec(9, 0))
@@ -329,6 +371,14 @@ class TestChiSquareGof:
 def test_cli_import_leaves_out_scipy_stats():
     """The command's import path stays free of scipy.stats, the slowest scipy import."""
     code = "import sys, jlproj.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_special():
+    """chi_square_gof imports scipy.special when called, not when the CLI loads."""
+    code = "import sys, jlproj.cli; print('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
