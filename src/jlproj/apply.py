@@ -8,6 +8,13 @@ slice's values and indices) and is projected with one product
 graph construction the ``(d, k)`` CSR matrix of its ±1 signs, with the
 ``1/sqrt(s)`` scale applied to ``Y`` afterwards.
 
+Sparse input, dense transform: ``op`` is the C-ordered ``(u, k)`` copy of
+the rows of ``entries.T`` in the batch's support (its ``u`` sorted distinct
+columns, cached on the batch), and each chunk's indices are remapped into
+it.  The remap is monotone, so each row still adds its terms in index
+order and every delta is bitwise that of the whole operator; a batch that
+uses all ``d`` columns multiplies the whole ``entries.T`` copy instead.
+
 Accumulation order: for the graph construction each output coordinate adds
 its terms in CSR column order, i.e. in index order of the input's support,
 so results do not depend on the chunking and a sparse input and its
@@ -69,13 +76,19 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
 
     The products use only the columns of each input's support: nnz(x) * s
     stored entries of the graph construction, k * nnz(x) of a dense
-    transform.  Sparse chunks take a C-ordered copy of ``entries.T``, made
-    once here: given the transposed view, scipy would copy it per chunk.
+    transform.  Sparse chunks of a dense transform multiply a C-ordered
+    copy of the rows of ``entries.T`` in the batch's support, made once
+    here: given the transposed view, scipy would copy it per chunk.
     """
     graph = isinstance(transform, SparseColumnLayout)
     op = _operator(transform)
+    cols = None
     if xs.indices is not None and not graph:
-        op = np.ascontiguousarray(op)
+        cols = xs.support
+        if len(cols) == transform.d:
+            op, cols = np.ascontiguousarray(op), None
+        else:
+            op = op[cols]
     n, nnz = xs.values.shape
     rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
     for start in range(0, n, rows):
@@ -83,7 +96,9 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
         c = len(X)
         if xs.indices is not None:
             indices = xs.indices[start : start + rows].ravel()
-            X = csr_array((X.ravel(), indices, np.arange(c + 1) * nnz), shape=(c, transform.d))
+            if cols is not None:
+                indices = np.searchsorted(cols, indices)
+            X = csr_array((X.ravel(), indices, np.arange(c + 1) * nnz), shape=(c, op.shape[0]))
         Y = X @ op
         # A sparse product comes back as CSR, a dense-by-CSR one transposed;
         # rows must be contiguous, or the epilogue's dot takes another summation kernel.

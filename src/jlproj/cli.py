@@ -5,9 +5,10 @@ experiment subcommand writes its CSV to --out plus a JSON run manifest
 (config, seed, version, start time) next to it; the directory of --out
 must exist, which is checked before any sampling.  Exit codes: 0 on
 success, 1 when `verify` finds failing checks, 2 on invalid arguments
-(including a missing output directory), 3 when a transform or an input
-block would exceed the memory budget or an output cannot be written.  Outputs are written to a temp file and renamed into place.
-Errors print one `error: ...` line on stderr.
+(including a missing output directory or an empty --probes), 3 when a
+transform, an input block or a cell's delta block would exceed the memory
+budget or an output cannot be written.  Outputs are written to a temp file
+and renamed into place.  Errors print one `error: ...` line on stderr.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ copy, a nested ``np.where``); only Rademacher moved, from one
 
 Each input family has one draw convention, defined by its batch sampler
 (:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a
-single draw is a batch of one.
+single draw is a batch of one.  Both normalise their draws in place, a
+few MB of rows at a time; each row's norm is bit for bit the one
+``np.linalg.norm`` gives over the whole block, so values are unchanged.
 
 All floating-point arithmetic is float64 throughout.
 """
@@ -54,6 +56,10 @@ MAX_DENSE_ENTRIES = 1 << 30
 # Pool rows per chunk in the batched without-replacement sampler are capped
 # so the (chunk, n) scratch array stays around 32 MB even at d = 10^4.
 _FY_CHUNK_BYTES = 1 << 25
+
+# Rows per block when input draws are normalised: np.linalg.norm squares
+# its argument into a temporary, which this caps near 4 MB.
+_NORM_BLOCK_BYTES = 1 << 22
 
 
 class ResourceLimitError(RuntimeError):
@@ -178,7 +184,9 @@ class InputBatch:
     Dense storage: ``indices is None`` and ``values`` has shape (n, dim).
     Sparse storage: ``values`` and ``indices`` have shape (n, t), each index
     row strictly increasing in [0, dim).  ``batch[i]`` is row i as an
-    :class:`InputVector` of views.  Arrays are treated as immutable.
+    :class:`InputVector` of views.  Arrays are treated as immutable, so the
+    row norms and the sparse support (the sorted distinct columns the
+    indices use) are computed on first use and cached.
     """
 
     dim: int
@@ -214,8 +222,31 @@ class InputBatch:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def support(self) -> np.ndarray | None:
+        """Sorted distinct columns the sparse rows use (None for dense
+        storage), computed on first use and kept (read-only)."""
+        if self.indices is None:
+            return None
+        # A dim-sized mask, not np.unique, which sorts a copy of all n * t indices.
+        used = np.zeros(self.dim, dtype=bool)
+        used[self.indices] = True
+        support = np.flatnonzero(used)
+        support.setflags(write=False)
+        return support
+
     def __getitem__(self, i: int) -> InputVector:
         return InputVector(self.dim, self.values[i], None if self.indices is None else self.indices[i])
+
+
+def _normalize_rows(block: np.ndarray) -> None:
+    """Divide each row of ``block`` by its norm, in place, in row blocks of
+    at most ``_NORM_BLOCK_BYTES``: ``np.linalg.norm`` of a row slice gives
+    each row's norm bit for bit, without a second full-size array."""
+    rows = max(1, _NORM_BLOCK_BYTES // (8 * block.shape[1]))
+    for start in range(0, len(block), rows):
+        part = block[start : start + rows]
+        part /= np.linalg.norm(part, axis=1, keepdims=True)
 
 
 def sample_unit_sphere(d: int, seed: SeedSpec) -> InputVector:
@@ -231,7 +262,7 @@ def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> InputBatch:
     check_entry_budget("dense input block", count, d)
     rng = derive_stream(seed)
     block = rng.standard_normal((count, d))
-    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    _normalize_rows(block)
     block.setflags(write=False)
     return InputBatch(d, block)
 
@@ -257,7 +288,7 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
     rng = derive_stream(seed)
     idx = sample_without_replacement(d, t, rng, count=count)
     vals = rng.standard_normal((count, t))
-    vals /= np.linalg.norm(vals, axis=1, keepdims=True)
+    _normalize_rows(vals)
     idx.setflags(write=False)
     vals.setflags(write=False)
     return InputBatch(d, vals, idx)

@@ -39,6 +39,7 @@ from .core import (
     InputBatch,
     Rademacher,
     SeedSpec,
+    check_entry_budget,
     sample_sparse_unit_batch,
     sample_unit_sphere_batch,
 )
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown constructions: {unknown}")
         if len(set(self.constructions)) != len(self.constructions):
             raise ValueError("constructions must not repeat")
+        if not self.probes:
+            raise ValueError("probes must list at least one quantile")
         if not all(0.0 < p < 1.0 for p in self.probes):
             raise ValueError("probes must lie in (0, 1)")
 
@@ -259,6 +262,7 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
     for s in s_values:
         if not 1 <= s <= cfg.k:
             raise ValueError(f"sweep value s={s} must satisfy 1 <= s <= k={cfg.k}")
+    check_entry_budget("delta block", cfg.trials, cfg.n)
     cells = []
     for family, vectors in _families(cfg):
         cells += [("Sparse", family, s, GraphSparse(s), cfg.k, vectors) for s in s_values]
@@ -284,6 +288,7 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
     for t in t_values:
         if not 1 <= t <= cfg.d:
             raise ValueError(f"sweep value t={t} must satisfy 1 <= t <= d={cfg.d}")
+    check_entry_budget("delta block", cfg.trials, cfg.n)
     vector_sets = {
         t: sample_sparse_unit_batch(cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
         for ti, t in enumerate(t_values)
@@ -304,6 +309,7 @@ def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
             raise ValueError(f"sweep value k={k} must be positive")
         if "Sparse" in cfg.constructions and k < cfg.s:
             raise ValueError(f"sweep value k={k} is below the column sparsity s={cfg.s}")
+    check_entry_budget("delta block", cfg.trials, cfg.n)
     families = _families(cfg)
     cells = [
         (construction, family, k, _series_kind(construction, cfg.s), k, vectors)
@@ -316,6 +322,7 @@ def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
 
 def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec()) -> CdfResult:
     """Pooled distortion CDF per construction on sparse inputs (t = cfg.t)."""
+    check_entry_budget("delta block", cfg.trials, cfg.n)
     vectors = sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
     blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, vectors) for c in cfg.constructions])
     samples = {c: block.ravel() for c, block in zip(cfg.constructions, blocks)}

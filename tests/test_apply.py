@@ -2,11 +2,13 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from jlproj.apply import WorkCounter, apply, distortion, distortion_batch
 from jlproj.constructions import DenseTransform, sample_transform
@@ -386,3 +388,63 @@ class TestBatchedKernel:
             distortion_batch(transform, xs, counter)
         per_entry = kind.s if isinstance(kind, GraphSparse) else self.K
         assert counter.entries_touched == per_entry * sum(x.nnz for xs in batches for x in xs)
+
+
+def _full_operator_deltas(transform, xs):
+    """Deltas of a dense transform on a sparse batch through the whole
+    C-ordered (d, k) operator and the batch's own indices."""
+    op = np.ascontiguousarray(transform.entries.T)
+    n, t = xs.values.shape
+    X = csr_array((xs.values.ravel(), xs.indices.ravel(), np.arange(n + 1) * t), shape=(n, transform.d))
+    Y = np.ascontiguousarray(X @ op)
+    return np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] - 1.0
+
+
+def _partial_support_batch(d, t, n, seed):
+    """A sparse batch whose support includes columns 0 and d - 1."""
+    xs = sample_sparse_unit_batch(d, t, n, seed)
+    indices = xs.indices.copy()
+    indices[0, 0], indices[-1, -1] = 0, d - 1
+    return InputBatch(d, xs.values, indices)
+
+
+class TestSupportOperator:
+    """A dense transform meets a sparse batch on the batch's support only."""
+
+    K = 40
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("full", [False, True], ids=["partial", "full"])
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_bitwise_the_full_operator(self, rows, full, kind, monkeypatch):
+        if full:
+            d, xs = 30, sample_sparse_unit_batch(30, 10, 50, SeedSpec(80, 1))
+            assert len(xs.support) == d
+        else:
+            d, xs = 5000, _partial_support_batch(5000, 4, 7, SeedSpec(80, 1))
+            assert 0 < len(xs.support) < d and xs.support[0] == 0 and xs.support[-1] == d - 1
+        transform = sample_transform(kind, self.K, d, SeedSpec(80, 0))
+        if rows is not None:
+            monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * xs.values.shape[1] + self.K))
+            assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
+        assert np.array_equal(distortion_batch(transform, xs), _full_operator_deltas(transform, xs))
+
+    def test_counter_unchanged(self):
+        transform = sample_transform(Rademacher(), self.K, 5000, SeedSpec(81, 0))
+        xs = _partial_support_batch(5000, 4, 7, SeedSpec(81, 1))
+        counter = WorkCounter()
+        distortion_batch(transform, xs, counter)
+        assert counter.entries_touched == self.K * 7 * 4
+
+    def test_peak_is_the_support_not_the_operator(self):
+        """k = 400 at d = 10^4 is a 32 MB operator; 500 x 5 inputs use at
+        most 2500 of its rows (8 MB)."""
+        transform = sample_transform(DenseGaussian(), 400, 10_000, SeedSpec(82, 0))
+        xs = sample_sparse_unit_batch(10_000, 5, 500, SeedSpec(82, 1))
+        tracemalloc.start()
+        try:
+            distortion_batch(transform, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20

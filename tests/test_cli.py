@@ -137,12 +137,17 @@ _SMALL = ["--n", "5", "--d", "50", "--trials", "1"]
         ["sweep-t", "--t", "", *_SMALL],
         ["sweep-s", "--s", "", *_SMALL],
         ["sweep-k", "--k", "", *_SMALL],
+        ["sweep-k", "--k", "20", "--probes", "", *_SMALL],
+        ["cdf", "--k", "20", "--probes", "", *_SMALL],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-3"],
         ["verify", "--pairs", "0"],
         ["verify", "--pairs", "1"],
     ],
-    ids=["empty-t", "empty-s", "empty-k", "trials-0", "trials-negative", "pairs-0", "pairs-1"],
+    ids=[
+        "empty-t", "empty-s", "empty-k", "sweep-k-empty-probes", "cdf-empty-probes",
+        "trials-0", "trials-negative", "pairs-0", "pairs-1",
+    ],
 )
 def test_invalid_run_size_exits_two(argv, tmp_path, capsys):
     if argv[0] != "verify":
@@ -151,6 +156,7 @@ def test_invalid_run_size_exits_two(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -230,6 +236,19 @@ def test_sparse_input_budget_exits_three_before_sampling(command, tmp_path, caps
     assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: sparse input block of 1100000x1000") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "cdf"])
+def test_delta_block_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
+    """trials * n above the entry budget: each cell's delta block is 2000000 x 1000."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    argv = [command, "--n", "1000", "--d", "10", "--trials", "2000000", "--k", "5", "--s", "2"]
+    assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta block of 2000000x1000") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Tests for seeded stream derivation and the unit-vector generators."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jlproj import core
 from jlproj.core import (
     GraphSparse,
     InputBatch,
@@ -232,6 +234,68 @@ class TestInputBatch:
         assert dense[1].indices is None and np.shares_memory(dense[1].values, dense.values)
         with pytest.raises(IndexError):
             batch[6]
+
+
+class TestBatchSupport:
+    def test_sorted_distinct_columns_kept_read_only(self):
+        batch = InputBatch(10, np.ones((3, 2)), np.array([[7, 9], [0, 7], [3, 9]]))
+        assert np.array_equal(batch.support, [0, 3, 7, 9])
+        assert batch.support is batch.support and not batch.support.flags.writeable
+
+    def test_dense_storage_has_none(self):
+        assert sample_unit_sphere_batch(7, 3, SeedSpec(15, 0)).support is None
+
+
+def _whole_block_sphere(d, count, seed):
+    """The sphere sampler with one whole-block ``np.linalg.norm``."""
+    block = derive_stream(seed).standard_normal((count, d))
+    return block / np.linalg.norm(block, axis=1, keepdims=True)
+
+
+def _whole_block_sparse(d, t, count, seed):
+    """The sparse sampler with one whole-block ``np.linalg.norm``."""
+    rng = derive_stream(seed)
+    idx = sample_without_replacement(d, t, rng, count=count)
+    vals = rng.standard_normal((count, t))
+    return idx, vals / np.linalg.norm(vals, axis=1, keepdims=True)
+
+
+class TestRowBlockNormalisation:
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["sphere", "sparse"])
+    def test_equals_whole_block_norm(self, rows, sparse, monkeypatch):
+        """Normalising 1, 2 or 3 rows at a time (or the default budget's
+        rows) gives the whole-block values bit for bit."""
+        d, t, count, seed = 300, 9, 7, SeedSpec(16, 0)
+        width = t if sparse else d
+        if rows is not None:
+            monkeypatch.setattr(core, "_NORM_BLOCK_BYTES", rows * 8 * width)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **kw: calls.append(len(x)) or norm(x, *a, **kw))
+        if sparse:
+            batch = sample_sparse_unit_batch(d, t, count, seed)
+        else:
+            batch = sample_unit_sphere_batch(d, count, seed)
+        step = count if rows is None else rows
+        assert calls == [min(step, count - start) for start in range(0, count, step)]
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        if sparse:
+            idx, vals = _whole_block_sparse(d, t, count, seed)
+            assert np.array_equal(batch.indices, idx)
+        else:
+            vals = _whole_block_sphere(d, count, seed)
+        assert np.array_equal(batch.values, vals)
+
+    def test_sphere_draw_peaks_near_its_output(self):
+        """500 draws at d = 10^4 are a 40 MB block; no second one is made."""
+        tracemalloc.start()
+        try:
+            batch = sample_unit_sphere_batch(10_000, 500, SeedSpec(16, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * batch.values.nbytes
 
 
 class TestWithoutReplacement:
