@@ -100,15 +100,18 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
       read in row-major (k, d) order; bit 1 stores +1/sqrt(k) and bit 0
       stores -1/sqrt(k).
     * AchlioptasSparse: one (k, d) ``random`` block, mapped
-      [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> 0.
+      [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> +0.0.
     * GraphSparse: all column row-subsets first
       (:func:`~jlproj.core.sample_without_replacement`), then a (d, s)
       block of ``integers(0, 2)`` signs, 1 -> +1 and 0 -> -1.
 
-    Gaussian and Achlioptas values are bit-identical to those of the
-    earlier out-of-place maps; Rademacher signs moved from one
-    ``integers(0, 2)`` per entry to packed bytes, so Rademacher transforms
-    differ from those drawn before that change.
+    The Achlioptas and graph-sign maps are exact: the Achlioptas map turns
+    each uniform into an integer step in {1, -1, 0} and multiplies it by
+    sqrt(3/k), and a sign bit b becomes 2b - 1, so every stored value is
+    exactly one of the listed ones.  Gaussian and Achlioptas values are
+    bit-identical to those of the earlier out-of-place maps; Rademacher
+    signs moved from one ``integers(0, 2)`` per entry to packed bytes, so
+    Rademacher transforms differ from those drawn before that change.
     """
     if k < 1 or d < 1:
         raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
@@ -118,7 +121,9 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         check_entry_budget("graph layout", d, kind.s)
         rng = derive_stream(seed)
         rows = sample_without_replacement(k, kind.s, rng, count=d)
-        signs = (2.0 * rng.integers(0, 2, size=(d, kind.s)) - 1.0).astype(np.float64)
+        signs = rng.integers(0, 2, size=(d, kind.s)).astype(np.float64)
+        signs *= 2.0
+        signs -= 1.0
         rows.setflags(write=False)
         signs.setflags(write=False)
         return SparseColumnLayout(k=k, d=d, s=kind.s, rows=rows, signs=signs, seed=seed)
@@ -138,11 +143,13 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     elif isinstance(kind, AchlioptasSparse):
         u = rng.random((k, d))
         value = np.sqrt(3.0 / k)
-        # Index 0, 1, 2 for u in [0, 1/6), [1/6, 1/3), [1/3, 1).  Plain
-        # indexing keeps the uint8 index; np.take would widen it to intp.
-        index = (u >= 1.0 / 6.0).view(np.uint8) + (u >= 1.0 / 3.0).view(np.uint8)
+        # step is 2 - 1 = 1 on [0, 1/6), 0 - 1 = -1 on [1/6, 1/3) and 0 on
+        # [1/3, 1), so step * value is exactly +value, -value or +0.0.
+        step = (u < 1.0 / 6.0).view(np.int8) * np.int8(2)
+        step -= (u < 1.0 / 3.0).view(np.int8)
         del u  # so the uniforms and the entries are never held at once
-        entries = np.array([value, -value, 0.0])[index]
+        entries = step.astype(np.float64)
+        entries *= value
     else:
         raise TypeError(f"unknown construction kind: {kind!r}")
     entries.setflags(write=False)

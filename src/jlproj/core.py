@@ -17,10 +17,13 @@ Draw conventions (fixed so that golden fixtures stay stable):
 * fair bits: ``ceil(n / 8)`` bytes from ``Generator.integers(0, 256,
   dtype=uint8)``, unpacked most significant bit first into n bits read in
   row-major order of the block they fill
-* uniform m-subsets: partial Fisher-Yates on per-subset pools, drawn in
-  fixed chunks of subsets (:func:`subset_blocks`); the blocks it yields are
-  the draw order, and :func:`sample_without_replacement` is their
-  concatenation
+* uniform m-subsets: partial Fisher-Yates on per-subset pools of the
+  narrowest signed integer type that holds range(n) (int8 for n <= 2^7,
+  int16 for n <= 2^15, then int32 and int64), drawn in fixed chunks of
+  subsets (:func:`subset_blocks`); the blocks it yields are the draw
+  order, in the pool's type.  :func:`sample_without_replacement` is
+  their concatenation in int64; a sparse input batch keeps them in the
+  pool's type.  The type changes no value and no draw.
 
 Each transform family has one draw convention, documented in
 :func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
@@ -183,7 +186,9 @@ class InputBatch:
 
     Dense storage: ``indices is None`` and ``values`` has shape (n, dim).
     Sparse storage: ``values`` and ``indices`` have shape (n, t), each index
-    row strictly increasing in [0, dim).  ``batch[i]`` is row i as an
+    row strictly increasing in [0, dim); the indices may be of any integer
+    type (the sampler's are the narrowest that fits dim, see
+    :func:`sample_sparse_unit_batch`).  ``batch[i]`` is row i as an
     :class:`InputVector` of views.  Arrays are treated as immutable, so the
     row norms and the sparse support (the sorted distinct columns the
     indices use) are computed on first use and cached.
@@ -208,7 +213,8 @@ class InputBatch:
             raise ValueError(f"sparse indices must be integers, got {self.indices.dtype}")
         if self.indices.size and (self.indices[:, 0].min() < 0 or self.indices[:, -1].max() >= self.dim):
             raise ValueError(f"sparse indices must lie in [0, {self.dim})")
-        if not np.all(np.diff(self.indices, axis=1) > 0):
+        # A comparison, not np.diff, which would wrap for unsigned indices.
+        if not np.all(self.indices[:, 1:] > self.indices[:, :-1]):
             raise ValueError("sparse indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -277,7 +283,12 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
 
     Each support is t positions uniform without replacement; nonzero values
     are i.i.d. standard normal, then normalized to unit norm.  Supports are
-    drawn for the whole batch first, then the (count, t) value block.
+    drawn for the whole batch first, then the (count, t) value block.  The
+    supports are the blocks of :func:`subset_blocks` written into one
+    (count, t) index array of their own type, the narrowest that fits d
+    (int8 for d <= 2^7, int16 for d <= 2^15, then int32), for every count
+    including 0; its values are those of :func:`sample_without_replacement`
+    for the same stream.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
@@ -286,7 +297,7 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
     _check_count(count)
     check_entry_budget("sparse input block", count, t)
     rng = derive_stream(seed)
-    idx = sample_without_replacement(d, t, rng, count=count)
+    idx = _joined_subsets(d, t, rng, count, _subset_dtype(d))
     vals = rng.standard_normal((count, t))
     _normalize_rows(vals)
     idx.setflags(write=False)
@@ -297,17 +308,32 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
 def sample_without_replacement(n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` sorted uniform m-subsets of range(n), int64 (count, m): the
     blocks of :func:`subset_blocks` in one array."""
+    return _joined_subsets(n, m, rng, count, np.int64)
+
+
+def _joined_subsets(n: int, m: int, rng: np.random.Generator, count: int, dtype) -> np.ndarray:
+    """The blocks of :func:`subset_blocks` written into one (count, m) array of ``dtype``."""
     blocks = subset_blocks(n, m, rng, count)
-    out = np.empty((count, m), dtype=np.int64)
+    out = np.empty((count, m), dtype=dtype)
     for start, block in blocks:
         out[start : start + len(block)] = block
     return out
 
 
+def _subset_dtype(n: int):
+    """The narrowest signed integer type that holds every value in range(n)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if n <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.int64
+
+
 def subset_blocks(n: int, m: int, rng: np.random.Generator, count: int):
     """``count`` sorted uniform m-subsets of range(n) via partial Fisher-Yates,
     as an iterator of ``(start, block)``: ``block`` holds subsets
-    ``start, start + 1, ...`` as rows, in the narrowest integer type that fits n.
+    ``start, start + 1, ...`` as rows, in the narrowest signed integer type
+    that holds range(n): int8 for n <= 2^7, int16 for n <= 2^15, then
+    int32 and int64.
 
     Exactly uniform over the C(n, m) subsets.  The full-set case m == n
     consumes no draws and is one read-only block.  Otherwise there is one
@@ -324,7 +350,7 @@ def subset_blocks(n: int, m: int, rng: np.random.Generator, count: int):
 
 
 def _fisher_yates_blocks(n: int, m: int, rng: np.random.Generator, count: int):
-    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    dtype = _subset_dtype(n)
     if m == n:
         if count:
             yield 0, np.broadcast_to(np.arange(n, dtype=dtype), (count, n))

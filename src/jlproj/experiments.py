@@ -224,8 +224,6 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=Fa
     averaged over trials.  ``order`` lists the (cell position, axis value)
     of each row group; by default every cell once, in cell order.
     """
-    if not axis_values:
-        raise ValueError(f"the {axis_name} axis needs at least one value")
     blocks = _run_cells(cfg, [cell[3:] for cell in cells])
     quantiles = [
         np.array([[quantile(deltas, p) for p in cfg.probes] for deltas in (np.abs(b) if use_abs else b)])
@@ -243,6 +241,14 @@ def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=Fa
     return SweepResult(axis_name, tuple(axis_values), tuple(rows), mean, std, count)
 
 
+def _axis(name: str, values) -> tuple[int, ...]:
+    """The swept values as ints; an empty axis is rejected before any draw."""
+    values = tuple(int(v) for v in values)
+    if not values:
+        raise ValueError(f"the {name} axis needs at least one value")
+    return values
+
+
 def _families(cfg: ExperimentConfig):
     """The dense and the sparse input batch."""
     return [
@@ -258,7 +264,7 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
     every axis point (its statistics do not depend on s, so its cell is
     computed once per family and replicated).
     """
-    s_values = tuple(int(s) for s in s_values)
+    s_values = _axis("s", s_values)
     for s in s_values:
         if not 1 <= s <= cfg.k:
             raise ValueError(f"sweep value s={s} must satisfy 1 <= s <= k={cfg.k}")
@@ -284,7 +290,7 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
     at t=1 the graph construction reproduces one column exactly, so its
     distortion rows are identically zero.
     """
-    t_values = tuple(int(t) for t in t_values)
+    t_values = _axis("t", t_values)
     for t in t_values:
         if not 1 <= t <= cfg.d:
             raise ValueError(f"sweep value t={t} must satisfy 1 <= t <= d={cfg.d}")
@@ -303,7 +309,7 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
 
 def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
     """|delta| quantiles vs target dimension for every configured construction."""
-    k_values = tuple(int(k) for k in k_values)
+    k_values = _axis("k", k_values)
     for k in k_values:
         if k < 1:
             raise ValueError(f"sweep value k={k} must be positive")

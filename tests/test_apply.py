@@ -429,6 +429,23 @@ class TestSupportOperator:
             assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
         assert np.array_equal(distortion_batch(transform, xs), _full_operator_deltas(transform, xs))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize(
+        "d,t,n", [(100, 4, 7), (5000, 4, 7), (30, 10, 50)], ids=["partial-int8", "partial-int16", "full-int8"]
+    )
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    def test_narrow_indices_bitwise_int64(self, kind, d, t, n, rows, monkeypatch):
+        """A batch's narrow indices give the deltas of the same batch with int64 indices."""
+        xs = sample_sparse_unit_batch(d, t, n, SeedSpec(83, d))
+        assert xs.indices.dtype == (np.int8 if d <= 128 else np.int16)
+        assert (len(xs.support) == d) == (d == 30)
+        wide = InputBatch(d, xs.values, xs.indices.astype(np.int64))
+        transform = sample_transform(kind, self.K, d, SeedSpec(83, 0))
+        if rows is not None:
+            monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * t + self.K))
+            assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
+        assert np.array_equal(distortion_batch(transform, xs), distortion_batch(transform, wide))
+
     def test_counter_unchanged(self):
         transform = sample_transform(Rademacher(), self.K, 5000, SeedSpec(81, 0))
         xs = _partial_support_batch(5000, 4, 7, SeedSpec(81, 1))

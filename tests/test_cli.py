@@ -252,6 +252,18 @@ def test_delta_block_budget_exits_three_before_sampling(command, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,axis", [("sweep-s", "s"), ("sweep-t", "t"), ("sweep-k", "k")])
+def test_empty_axis_exits_two_before_sampling(command, axis, tmp_path, capsys, monkeypatch):
+    """An empty swept axis is rejected before any input batch is drawn."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    argv = [command, f"--{axis}", "", "--n", "50", "--d", "100", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err == f"error: the {axis} axis needs at least one value\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_layout_budget_exits_three_before_drawing(capsys, monkeypatch):
     """verify --pairs P streams the rows of a 2P-column layout: 2 * 40M * 16 entries."""
     from jlproj import constructions, stats

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jlproj import constructions
 from jlproj.apply import distortion
 from jlproj.constructions import (
     MAX_DENSE_ENTRIES,
@@ -106,6 +107,30 @@ class TestDenseKinds:
         zero_fraction = np.mean(t.entries == 0.0)
         se = math.sqrt((2.0 / 9.0) / (k * d))
         assert abs(zero_fraction - 2.0 / 3.0) <= 4.0 * se
+
+    def test_achlioptas_map_at_the_interval_ends(self, monkeypatch):
+        """Uniforms at 0, 1/6, 1/3 and the floats next to them map to
+        +sqrt(3/k) on [0, 1/6), -sqrt(3/k) on [1/6, 1/3) and +0.0 on [1/3, 1)."""
+        sixth, third = 1.0 / 6.0, 1.0 / 3.0
+        u = np.array(
+            [
+                0.0, np.nextafter(0.0, 1.0), np.nextafter(sixth, 0.0),
+                sixth, np.nextafter(sixth, 1.0), np.nextafter(third, 0.0),
+                third, np.nextafter(third, 1.0), np.nextafter(1.0, 0.0),
+            ]
+        )  # fmt: skip
+
+        class FixedUniforms:
+            def random(self, shape):
+                return np.broadcast_to(u, shape).copy()
+
+        monkeypatch.setattr(constructions, "derive_stream", lambda seed: FixedUniforms())
+        k = 3
+        entries = sample_transform(AchlioptasSparse(), k, len(u), SeedSpec(0, 0)).entries
+        v = np.sqrt(3.0 / k)
+        for row in entries:
+            assert list(row) == [v] * 3 + [-v] * 3 + [0.0] * 3
+            assert not np.signbit(row[6:]).any()
 
     def test_gaussian_moments(self):
         """Entry mean ~0 and variance ~1/k at 4 SE over 1e5 entries."""

@@ -298,6 +298,51 @@ class TestRowBlockNormalisation:
         assert peak <= 1.25 * batch.values.nbytes
 
 
+def _narrow_dtype(d):
+    return np.int8 if d <= 1 << 7 else np.int16 if d <= 1 << 15 else np.int32
+
+
+class TestNarrowSparseIndices:
+    """Sparse batches keep their indices in the subset pool's narrow type."""
+
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("d", [1, 10, 128, 129, 1 << 15, (1 << 15) + 1])
+    def test_dtype_depends_on_d_alone(self, d, count):
+        batch = sample_sparse_unit_batch(d, 1, count, SeedSpec(17, d))
+        assert batch.indices.dtype == _narrow_dtype(d)
+        assert batch.indices.shape == (count, 1)
+
+    @pytest.mark.parametrize(
+        "d,t,count",
+        [(10, 3, 7), (128, 128, 4), (129, 20, 30), (100, 5, 50_000), ((1 << 15) + 1, 4, 300)],
+    )
+    def test_values_are_the_int64_sampler(self, d, t, count):
+        """Indices equal sample_without_replacement's int64 output for the
+        same stream (over two draw chunks at d = 100), values bitwise the
+        whole-block normalisation."""
+        seed = SeedSpec(18, t)
+        batch = sample_sparse_unit_batch(d, t, count, seed)
+        idx, vals = _whole_block_sparse(d, t, count, seed)
+        assert idx.dtype == np.int64 and batch.indices.dtype == _narrow_dtype(d)
+        assert np.array_equal(batch.indices, idx)
+        assert np.array_equal(batch.values, vals)
+
+    def test_paper_scale_batch_peak(self):
+        """2500 x 1000 at d = 10^4: int16 indices, no int64 copy (59.6 MiB before)."""
+        tracemalloc.start()
+        try:
+            sample_sparse_unit_batch(10_000, 1000, 2500, SeedSpec(19, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 << 20
+
+    def test_unsigned_decreasing_indices_rejected(self):
+        """Row order is compared, not differenced, so unsigned indices cannot wrap."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            InputBatch(10, np.full((1, 2), 0.5**0.5), np.array([[5, 3]], dtype=np.uint8))
+
+
 class TestWithoutReplacement:
     def test_full_set(self):
         rng = derive_stream(SeedSpec(0, 0))
@@ -345,7 +390,7 @@ class TestWithoutReplacement:
         rng = derive_stream(SeedSpec(0, 6))
         blocks = list(subset_blocks(n, m, rng, count))
         assert [start for start, _ in blocks] == [sum(len(b) for _, b in blocks[:i]) for i in range(len(blocks))]
-        assert all(b.dtype == (np.int16 if n <= 1 << 15 else np.int32) for _, b in blocks)
+        assert all(b.dtype == _narrow_dtype(n) for _, b in blocks)
         joined = np.concatenate([b for _, b in blocks]) if blocks else np.empty((0, m), dtype=np.int64)
         assert np.array_equal(joined, sample_without_replacement(n, m, derive_stream(SeedSpec(0, 6)), count))
         if m == n:
@@ -380,7 +425,7 @@ class TestEmptyAndNegativeBatches:
         batch = sample_sparse_unit_batch(10, 3, 0, SeedSpec(0, 0))
         assert len(batch) == 0
         assert batch.values.shape == (0, 3) and batch.indices.shape == (0, 3)
-        assert batch.indices.dtype == np.int64
+        assert batch.indices.dtype == np.int8
 
     def test_empty_sphere_batch(self):
         assert sample_unit_sphere_batch(10, 0, SeedSpec(0, 0)).values.shape == (0, 10)

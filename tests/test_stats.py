@@ -14,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
+from jlproj.apply import distortion
 from jlproj.core import (
     AchlioptasSparse,
     DenseGaussian,
     GraphSparse,
+    InputBatch,
     Rademacher,
     SeedSpec,
+    sample_unit_sphere,
 )
 from jlproj.stats import (
     chi_square_gof,
@@ -251,6 +254,16 @@ class TestStreamedCollisions:
             tracemalloc.stop()
         assert peak <= 32 << 20
 
+    def test_peak_memory_of_the_int8_pool(self):
+        """k = 50 fits an int8 pool: half the int16 one (20.8 MiB before)."""
+        tracemalloc.start()
+        try:
+            sample_collision_counts(50, 16, 100_000, SeedSpec(10, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 << 20
+
     @pytest.mark.parametrize("k,s,num_pairs", [(4, 5, 10), (4, 0, 10), (4, 2, 0)])
     def test_bad_arguments(self, k, s, num_pairs):
         with pytest.raises(ValueError):
@@ -310,6 +323,47 @@ class TestTailBoundReport:
     def test_epsilon_domain(self, eps):
         with pytest.raises(ValueError):
             tail_bound_report(Rademacher(), 10, 10, eps, 5, SeedSpec(0, 0))
+
+
+class TestVerifyLoopsUseBatches:
+    """The tail and variance checks project batches of one, checked once."""
+
+    def test_variance_probe_normed_once(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+        gaussian_variance_check(20, 30, 6, SeedSpec(12, 0))
+        assert len(calls) == 1
+
+    def test_tail_vectors_checked_once(self, monkeypatch):
+        checks = []
+        post_init = InputBatch.__post_init__
+        monkeypatch.setattr(InputBatch, "__post_init__", lambda self: checks.append(self) or post_init(self))
+        tail_bound_report(Rademacher(), 20, 30, 0.5, 6, SeedSpec(12, 1))
+        assert len(checks) == 6
+
+    def test_reports_equal_the_per_vector_loops(self):
+        """The reports are bitwise those of one distortion() call per trial."""
+        k, d, trials, seed = 20, 30, 40, SeedSpec(12, 2)
+        probe = sample_unit_sphere(d, seed)
+        sq_norms = [
+            distortion(sample_transform(DenseGaussian(), k, d, seed.stream(seed.stream_id + 1 + i)), probe) + 1.0
+            for i in range(trials)
+        ]
+        assert gaussian_variance_check(k, d, trials, seed).sample_variance == float(np.var(sq_norms, ddof=1))
+        failures = sum(
+            abs(
+                distortion(
+                    sample_transform(AchlioptasSparse(), k, d, seed.stream(seed.stream_id + 2 * i)),
+                    sample_unit_sphere(d, seed.stream(seed.stream_id + 2 * i + 1)),
+                )
+            )
+            > 0.3
+            for i in range(trials)
+        )
+        assert 0 < failures < trials
+        report = tail_bound_report(AchlioptasSparse(), k, d, 0.3, trials, seed)
+        assert report.empirical_failure_rate == failures / trials
 
 
 class TestFourthMoment:
