@@ -10,11 +10,16 @@ swept axis, each checked before any sampling), 3 when a transform, an
 input block or a cell's delta block would exceed the memory budget or an
 output cannot be written.  Outputs are written to a temp file and renamed
 into place.  Errors print one `error: ...` line on stderr.
+
+The JL_THREADS environment variable sets how many threads run experiment
+cells (unset means 1).  It is read once, before anything else runs; a
+value that is not a positive integer exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,6 +52,20 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
+
+
+def _worker_count() -> int:
+    """Threads for experiment cells, from JL_THREADS; unset means 1."""
+    text = os.environ.get("JL_THREADS")
+    if text is None:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"JL_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -150,23 +169,24 @@ def cli_main(argv=None) -> int:
 
     started_at = datetime.now(timezone.utc).isoformat()
     try:
+        workers = _worker_count()
         out = getattr(args, "out", None)
         if out is not None and not Path(out).parent.is_dir():
             raise ValueError(f"output directory {Path(out).parent} is not an existing directory")
         if args.command == "sweep-s":
             cfg = _build_config(args, k=args.k, s=1, t=args.t)
             s_values = args.s if args.s is not None else [s for s in DEFAULT_S_GRID if s <= cfg.k]
-            result = run_sparsity_sweep(cfg, s_values)
+            result = run_sparsity_sweep(cfg, s_values, workers)
             _write_sweep(args, cfg, result, started_at)
         elif args.command == "sweep-t":
             cfg = _build_config(args, k=args.k, s=args.s, t=1)
             t_values = args.t if args.t is not None else [t for t in DEFAULT_T_GRID if t <= cfg.d]
-            result = run_input_sparsity_sweep(cfg, t_values)
+            result = run_input_sparsity_sweep(cfg, t_values, workers)
             _write_sweep(args, cfg, result, started_at)
         elif args.command == "sweep-k":
             k_values = args.k if args.k is not None else [k for k in DEFAULT_K_GRID if k >= args.s]
             cfg = _build_config(args, k=max([*k_values, args.s]), s=args.s, t=args.t)
-            result = run_k_sweep(cfg, k_values)
+            result = run_k_sweep(cfg, k_values, workers)
             _write_sweep(args, cfg, result, started_at)
         elif args.command == "cdf":
             cfg = _build_config(args, k=args.k, s=args.s, t=args.t)
@@ -178,7 +198,7 @@ def cli_main(argv=None) -> int:
                 tail_hi=args.tail_max,
                 tail_points=args.tail_points,
             )
-            result = run_cdf(cfg, grid)
+            result = run_cdf(cfg, grid, workers)
             _write_cdf(args, cfg, result, started_at, grid)
         elif args.command == "verify":
             checks = run_verification(args.seed, trials=args.trials, pair_samples=args.pairs)

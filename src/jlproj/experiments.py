@@ -10,9 +10,9 @@ derived off the config's master seed:
     verification check -> stream VERIFY_ROLE | check << 32 (+ offsets inside)
 
 Cells (construction x input family x axis value) are enumerated in a fixed
-order and may execute on a thread pool capped by the JL_THREADS environment
-variable; aggregation happens in cell order, so output bytes never depend
-on the schedule.
+order and may execute on a pool of ``workers`` threads (the CLI reads the
+count from JL_THREADS); aggregation happens in cell order, so output bytes
+never depend on the schedule.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("constructions must not repeat")
         if not self.probes:
             raise ValueError("probes must list at least one quantile")
+        if len(set(self.probes)) != len(self.probes):
+            raise ValueError("probes must not repeat")
         if not all(0.0 < p < 1.0 for p in self.probes):
             raise ValueError("probes must lie in (0, 1)")
 
@@ -196,10 +198,9 @@ def _cell_deltas(
     return deltas
 
 
-def _run_cells(cfg: ExperimentConfig, cells) -> list[np.ndarray]:
+def _run_cells(cfg: ExperimentConfig, cells, workers: int) -> list[np.ndarray]:
     """Delta block of each (kind, k, vectors) cell; a cell's position is its seed."""
     jobs = [partial(_cell_deltas, cfg, ci, kind, k, vectors) for ci, (kind, k, vectors) in enumerate(cells)]
-    workers = max(1, int(os.environ.get("JL_THREADS", "1")))
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -217,14 +218,16 @@ def _pooled_stats(blocks) -> tuple[float, float, int]:
     return mean, math.sqrt(var), count
 
 
-def _sweep(cfg: ExperimentConfig, axis_name: str, axis_values, cells, use_abs=False, order=None) -> SweepResult:
+def _sweep(
+    cfg: ExperimentConfig, axis_name: str, axis_values, cells, workers: int, use_abs=False, order=None
+) -> SweepResult:
     """Run (construction, family, axis value, kind, k, vectors) cells and reduce them to rows.
 
     Quantiles are taken per trial (of |delta| when ``use_abs``), then
     averaged over trials.  ``order`` lists the (cell position, axis value)
     of each row group; by default every cell once, in cell order.
     """
-    blocks = _run_cells(cfg, [cell[3:] for cell in cells])
+    blocks = _run_cells(cfg, [cell[3:] for cell in cells], workers)
     quantiles = [
         np.array([[quantile(deltas, p) for p in cfg.probes] for deltas in (np.abs(b) if use_abs else b)])
         for b in blocks
@@ -257,7 +260,7 @@ def _families(cfg: ExperimentConfig):
     ]
 
 
-def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
+def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> SweepResult:
     """Distortion quantiles of the graph construction vs its column sparsity.
 
     Runs both input families with the Achlioptas series as the reference at
@@ -280,10 +283,10 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values) -> SweepResult:
         for family in ("dense", "sparse")
         for s in s_values
     ]
-    return _sweep(cfg, "s", s_values, cells, order=order)
+    return _sweep(cfg, "s", s_values, cells, workers, order=order)
 
 
-def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
+def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) -> SweepResult:
     """Distortion quantiles vs input support size, graph construction at fixed s.
 
     Input vectors are redrawn per axis point (the axis changes the inputs);
@@ -304,10 +307,10 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values) -> SweepResult:
         for construction in ("Sparse", "Ach")
         for t in t_values
     ]
-    return _sweep(cfg, "t", t_values, cells)
+    return _sweep(cfg, "t", t_values, cells, workers)
 
 
-def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
+def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResult:
     """|delta| quantiles vs target dimension for every configured construction."""
     k_values = _axis("k", k_values)
     for k in k_values:
@@ -323,14 +326,14 @@ def run_k_sweep(cfg: ExperimentConfig, k_values) -> SweepResult:
         for family, vectors in families
         for k in k_values
     ]
-    return _sweep(cfg, "k", k_values, cells, use_abs=True)
+    return _sweep(cfg, "k", k_values, cells, workers, use_abs=True)
 
 
-def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec()) -> CdfResult:
+def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec(), workers: int = 1) -> CdfResult:
     """Pooled distortion CDF per construction on sparse inputs (t = cfg.t)."""
     check_entry_budget("delta block", cfg.trials, cfg.n)
     vectors = sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
-    blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, vectors) for c in cfg.constructions])
+    blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, vectors) for c in cfg.constructions], workers)
     samples = {c: block.ravel() for c, block in zip(cfg.constructions, blocks)}
     grid = grid_spec.grid()
     thresholds = grid_spec.tail_thresholds()

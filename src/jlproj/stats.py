@@ -32,7 +32,7 @@ from .core import (
     check_entry_budget,
     derive_stream,
     sample_unit_sphere_batch,
-    subset_blocks,
+    unsorted_subset_blocks,
 )
 
 # Unused here, but perfbench/spans.py traces both by their names in this
@@ -137,10 +137,6 @@ def collision_count(layout: SparseColumnLayout, i: int, j: int) -> int:
     return int(np.intersect1d(layout.rows[i], layout.rows[j], assume_unique=True).size)
 
 
-# Column pairs compared at once: the (pairs, s, s) comparison stays near 4 MB.
-_PAIR_BYTES = 1 << 22
-
-
 def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> np.ndarray:
     """Collision counts of ``num_pairs`` independent column pairs, int64.
 
@@ -148,8 +144,12 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
     ``sample_transform(GraphSparse(s), k, 2 * num_pairs, seed)`` form pair m,
     so every pair is an independent draw of the per-pair collision law.  A
     layout draws its rows before its signs, so the rows are streamed here
-    block by block from the same draws (:func:`~jlproj.core.subset_blocks`)
-    and the signs are never drawn; the layout's entry budget still applies.
+    one draw chunk at a time from the same draws, unsorted
+    (:func:`~jlproj.core.unsorted_subset_blocks`: the same sets as the
+    layout's sorted rows), and the signs are never drawn; the layout's
+    entry budget still applies.  Pair m's count is the number of column
+    2m+1's rows found in a (pairs, k) membership mask of column 2m's; a
+    pair split across two chunks carries its first column over.
     """
     if s < 1 or num_pairs < 1:
         raise ValueError(f"need s >= 1 and num_pairs >= 1, got s={s}, num_pairs={num_pairs}")
@@ -157,25 +157,31 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
         raise ValueError(f"column sparsity s={s} exceeds k={k}")
     check_entry_budget("graph layout", 2 * num_pairs, s)
     counts = np.empty(num_pairs, dtype=np.int64)
-    step = 2 * max(1, _PAIR_BYTES // (s * s))
     left = None  # even column whose partner starts the next block
-    for start, block in subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):
+    for start, block in unsorted_subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):
         if start % 2:
-            counts[start // 2] = _pair_collisions(np.stack([left, block[0]]))[0]
+            counts[start // 2] = _membership_counts(left[None], block[:1], k)[0]
             start, block = start + 1, block[1:]
         if len(block) % 2:
             left = block[-1].copy()
             block = block[:-1]
-        for i in range(0, len(block), step):
-            pairs = block[i : i + step]
-            counts[(start + i) // 2 : (start + i + len(pairs)) // 2] = _pair_collisions(pairs)
+        counts[start // 2 : (start + len(block)) // 2] = _membership_counts(block[0::2], block[1::2], k)
+        del block  # freed before the next chunk's pool is drawn
     return counts
 
 
-def _pair_collisions(rows: np.ndarray) -> np.ndarray:
-    """Common entries of rows (2m, 2m+1) for each m; rows hold distinct values."""
-    r = rows.reshape(-1, 2, rows.shape[1])
-    return (r[:, 0, :, None] == r[:, 1, None, :]).sum(axis=(1, 2))
+def _membership_counts(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
+    """How many entries row m of ``second`` shares with row m of ``first``,
+    for each m; rows hold distinct values in range(k).  Marks and reads a (rows, k) mask
+    one column at a time, so only one column's indices are widened."""
+    rows = np.arange(len(first))
+    seen = np.zeros((len(first), k), dtype=bool)
+    for col in first.T:
+        seen[rows, col] = True
+    counts = np.zeros(len(first), dtype=np.int64)
+    for col in second.T:
+        counts += seen[rows, col]
+    return counts
 
 
 def collision_tail_check(k: int, s: int, num_pairs: int, seed: SeedSpec) -> CollisionTailReport:
@@ -239,6 +245,7 @@ def tail_bound_report(
         xs = sample_unit_sphere_batch(d, 1, seed.stream(seed.stream_id + 2 * i + 1))
         if abs(distortion_batch(transform, xs)[0]) > epsilon:
             failures += 1
+        del transform  # freed before the next trial draws its own
     denom = 8.0 if isinstance(kind, DenseGaussian) else 12.0
     bound = 2.0 * math.exp(-k * epsilon * epsilon / denom)
     return TailReport(
@@ -275,6 +282,7 @@ def fourth_moment_check(
         rows = min(_ROW_BATCH, trials - done)
         transform = sample_transform(kind, rows, d, seed.stream(seed.stream_id + batch_index))
         y = transform.entries @ v
+        del transform  # freed before the next batch draws its own
         samples[done : done + rows] = (rows * rows) * y**4
         done += rows
         batch_index += 1
@@ -296,6 +304,7 @@ def gaussian_variance_check(k: int, d: int, trials: int, seed: SeedSpec) -> Vari
     for i in range(trials):
         transform = sample_transform(DenseGaussian(), k, d, seed.stream(seed.stream_id + 1 + i))
         sq_norms[i] = distortion_batch(transform, probe)[0] + 1.0
+        del transform  # freed before the next trial draws its own
     return VarianceReport(
         k=k,
         sample_variance=float(sq_norms.var(ddof=1)),

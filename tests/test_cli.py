@@ -143,10 +143,13 @@ _SMALL = ["--n", "5", "--d", "50", "--trials", "1"]
         ["verify", "--trials", "-3"],
         ["verify", "--pairs", "0"],
         ["verify", "--pairs", "1"],
+        ["sweep-k", "--k", "20", "--probes", "0.5,0.99,0.5", *_SMALL],
+        ["cdf", "--k", "20", "--probes", "0.5,0.5", *_SMALL],
     ],
     ids=[
         "empty-t", "empty-s", "empty-k", "sweep-k-empty-probes", "cdf-empty-probes",
         "trials-0", "trials-negative", "pairs-0", "pairs-1",
+        "sweep-k-repeated-probes", "cdf-repeated-probes",
     ],
 )
 def test_invalid_run_size_exits_two(argv, tmp_path, capsys):
@@ -264,12 +267,30 @@ def test_empty_axis_exits_two_before_sampling(command, axis, tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+@pytest.mark.parametrize("command", ["sweep-k", "verify"])
+def test_bad_thread_count_exits_two_before_sampling(command, value, tmp_path, capsys, monkeypatch):
+    """JL_THREADS is read once, before any draw; anything but a positive
+    integer is rejected with one line naming the variable."""
+    from jlproj import constructions, core, stats
+
+    for module in (core, constructions, stats):
+        monkeypatch.setattr(module, "derive_stream", _must_not_run)
+    monkeypatch.setenv("JL_THREADS", value)
+    argv = ["verify", "--trials", "1"] if command == "verify" else [command, *_SMALL, "--out", str(tmp_path / "t.csv")]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: JL_THREADS must be a positive integer, got {value!r}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_layout_budget_exits_three_before_drawing(capsys, monkeypatch):
     """verify --pairs P streams the rows of a 2P-column layout: 2 * 40M * 16 entries."""
     from jlproj import constructions, stats
 
     monkeypatch.setattr(constructions, "sample_without_replacement", _must_not_run)
-    monkeypatch.setattr(stats, "subset_blocks", _must_not_run)
+    monkeypatch.setattr(stats, "unsorted_subset_blocks", _must_not_run)
     assert cli_main(["verify", "--trials", "1", "--pairs", "40000000"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: graph layout of 80000000x16") and captured.err.count("\n") == 1

@@ -38,7 +38,7 @@ from jlproj.stats import (
     tail_bound_report,
 )
 from jlproj.constructions import sample_transform
-from jlproj import core, stats
+from jlproj import core
 
 
 class TestQuantile:
@@ -238,9 +238,8 @@ class TestStreamedCollisions:
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
     @pytest.mark.parametrize("k,s,num_pairs", [(3, 2, 101), (9, 4, 250), (50, 16, 301), (6, 6, 20)])
     def test_odd_and_tiny_chunks(self, chunk_rows, k, s, num_pairs, monkeypatch):
-        """Pairs that straddle a draw chunk, and comparison sub-blocks of three pairs."""
+        """Pairs that straddle a draw chunk, whose first column is carried over."""
         monkeypatch.setattr(core, "_FY_CHUNK_BYTES", 8 * k * chunk_rows)
-        monkeypatch.setattr(stats, "_PAIR_BYTES", 3 * s * s)
         seed = SeedSpec(11, chunk_rows)
         assert np.array_equal(sample_collision_counts(k, s, num_pairs, seed), _layout_counts(k, s, num_pairs, seed))
 
@@ -263,6 +262,18 @@ class TestStreamedCollisions:
         finally:
             tracemalloc.stop()
         assert peak <= 14 << 20
+
+    def test_peak_memory_of_the_membership_mask(self):
+        """Counting by a (pairs, k) membership mask of the unsorted rows
+        holds one draw chunk at a time (11.6 MiB with a (pairs, s, s)
+        comparison and two pools held at once)."""
+        tracemalloc.start()
+        try:
+            sample_collision_counts(50, 16, 100_000, SeedSpec(10, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 << 20
 
     @pytest.mark.parametrize("k,s,num_pairs", [(4, 5, 10), (4, 0, 10), (4, 2, 0)])
     def test_bad_arguments(self, k, s, num_pairs):
@@ -389,6 +400,17 @@ class TestFourthMoment:
     def test_graph_kind_rejected(self):
         with pytest.raises(ValueError):
             fourth_moment_check(GraphSparse(2), 10, 10, SeedSpec(0, 0))
+
+    def test_peak_memory_one_transform_at_a_time(self):
+        """Each (1024, 500) Achlioptas batch (3.9 MiB) is freed before the
+        next is drawn (8.8 MiB when two were held at once)."""
+        tracemalloc.start()
+        try:
+            fourth_moment_check(AchlioptasSparse(), 500, 4000, SeedSpec(12, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * (1 << 20)
 
 
 class TestGaussianVariance:
