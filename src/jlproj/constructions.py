@@ -11,7 +11,6 @@ projection multiplies by.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -33,19 +32,6 @@ from .core import (  # MAX_DENSE_ENTRIES and ResourceLimitError are re-exported
     derive_stream,
     sample_without_replacement,
 )
-
-
-def _raw_threshold(c: float) -> np.uint64:
-    """The smallest raw word w with (w >> 11) * 2**-53 >= c, for c in (0, 1):
-    a word is below it exactly when the uniform ``random`` makes of it is
-    below c.  c * 2**53 is exact, and an integer is below it exactly when
-    it is below its ceiling."""
-    return np.uint64(math.ceil(c * 2.0**53) << 11)
-
-
-_RAW_BELOW_SIXTH = _raw_threshold(1.0 / 6.0)
-_RAW_BELOW_THIRD = _raw_threshold(1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class DenseTransform:
@@ -115,9 +101,6 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
       stores -1/sqrt(k).
     * AchlioptasSparse: one (k, d) ``random`` block, mapped
       [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> +0.0.
-      It is read as the raw words ``bit_generator.random_raw((k, d))``
-      that ``random`` turns into ``(w >> 11) * 2**-53``, compared with
-      integer thresholds that give exactly the float comparisons.
     * GraphSparse: all column row-subsets first
       (:func:`~jlproj.core.sample_without_replacement`), then a (d, s)
       block of ``integers(0, 2)`` signs, 1 -> +1 and 0 -> -1.
@@ -158,14 +141,13 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         entries *= 2.0 / np.sqrt(k)
         entries -= 1.0 / np.sqrt(k)
     elif isinstance(kind, AchlioptasSparse):
-        # The raw words behind rng.random((k, d)); see _raw_threshold.
-        w = rng.bit_generator.random_raw((k, d))
+        u = rng.random((k, d))
         value = np.sqrt(3.0 / k)
         # step is 2 - 1 = 1 on [0, 1/6), 0 - 1 = -1 on [1/6, 1/3) and 0 on
         # [1/3, 1), so step * value is exactly +value, -value or +0.0.
-        step = (w < _RAW_BELOW_SIXTH).view(np.int8) * np.int8(2)
-        step -= (w < _RAW_BELOW_THIRD).view(np.int8)
-        del w  # so the words and the entries are never held at once
+        step = (u < 1.0 / 6.0).view(np.int8) * np.int8(2)
+        step -= (u < 1.0 / 3.0).view(np.int8)
+        del u  # so the uniforms and the entries are never held at once
         entries = step.astype(np.float64)
         entries *= value
     else:

@@ -20,21 +20,18 @@ Draw conventions (fixed so that golden fixtures stay stable):
 * uniform m-subsets: partial Fisher-Yates on per-subset pools of the
   narrowest signed integer type that holds range(n) (int8 for n <= 2^7,
   int16 for n <= 2^15, then int32 and int64), drawn in fixed chunks of
-  subsets by one loop.  :func:`subset_blocks` yields each chunk's
-  subsets with every row sorted; :func:`sample_without_replacement` is
-  their concatenation in int64, and a sparse input batch keeps them in
-  the pool's type.  :func:`unsorted_subset_blocks` yields the same
-  chunks with each row in the order it was drawn, for readers that need
-  only set membership (collision counts), so those skip the sort.  Both
-  hold one chunk at a time: a chunk's pool is freed before its block is
-  yielded.  The type changes no value and no draw.
+  subsets (:func:`subset_blocks`); the blocks it yields are the draw
+  order, in the pool's type, each row sorted.  One chunk is held at a
+  time: a chunk's pool is freed before its block is yielded.
+  :func:`sample_without_replacement` is their concatenation in int64; a
+  sparse input batch keeps them in the pool's type.  The type changes no
+  value and no draw.
 
 Each transform family has one draw convention, documented in
 :func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
 bits (k*d of them, bit 1 -> +1/sqrt(k)), Gaussian entries scaled normals
-and Achlioptas entries mapped uniforms (compared as the raw words numpy
-makes them from, which gives the same map).  The Gaussian and Achlioptas
-values are bit-identical to those of the earlier out-of-place maps (a divided
+and Achlioptas entries mapped uniforms.  The Gaussian and Achlioptas values
+are bit-identical to those of the earlier out-of-place maps (a divided
 copy, a nested ``np.where``); only Rademacher moved, from one
 ``integers(0, 2)`` per entry to packed bits.
 
@@ -54,7 +51,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _UINT64_MAX = (1 << 64) - 1
 
@@ -141,29 +137,14 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_id)
 
 
-class _PhiloxKey(ISeedSequence):
-    """The 128-bit Philox key of a seed spec, as the two little-endian
-    uint64 words ``[master_seed, stream_id]`` that ``Philox(key=...)``
-    stores for ``stream_id * 2**64 + master_seed``.  Handing Philox this
-    seed sequence gives it the same state without the OS entropy read
-    that building a default ``SeedSequence`` costs."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, seed: SeedSpec) -> None:
-        self.words = (seed.master_seed, seed.stream_id)
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.array(self.words, dtype=np.uint64)
-
-
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Deterministic generator for a seed spec.
 
     The Philox key is ``stream_id * 2**64 + master_seed``, so equal specs
     give bit-identical streams and unequal specs give independent ones.
     """
-    return np.random.Generator(np.random.Philox(_PhiloxKey(seed)))
+    key = (seed.stream_id << 64) | seed.master_seed
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -356,48 +337,36 @@ def subset_blocks(n: int, m: int, rng: np.random.Generator, count: int):
     signed integer type that holds range(n): int8 for n <= 2^7, int16 for
     n <= 2^15, then int32 and int64.
 
-    Exactly uniform over the C(n, m) subsets.  The full-set case m == n
-    consumes no draws and is one read-only block.  Otherwise there is one
-    block per draw chunk of ``_FY_CHUNK_BYTES // (8 * n)`` subsets, each
-    drawing its m ``integers(j, n, size=chunk)`` vectors in turn, so the
-    blocks are the draw order: that row count stays tied to 8 bytes per
-    entry even though the pool is narrow.  Arguments are checked here, not
-    at the first block.
+    Exactly uniform over the C(n, m) subsets.  There is one block per draw
+    chunk of ``_FY_CHUNK_BYTES // (8 * n)`` subsets, each drawing its m
+    ``integers(j, n, size=chunk)`` vectors in turn, so the blocks are the
+    draw order: that row count stays tied to 8 bytes per entry even though
+    the pool is narrow.  The full-set case m == n consumes no draws; its
+    blocks are read-only broadcast views, chunked the same way so that a
+    reader's per-block scratch stays bounded.  Arguments are checked here,
+    not at the first block.
     """
-    _check_subsets(n, m, count)
-    return _fisher_yates_blocks(n, m, rng, count, sort=True)
-
-
-def unsorted_subset_blocks(n: int, m: int, rng: np.random.Generator, count: int):
-    """The blocks of :func:`subset_blocks` for the same stream and
-    arguments, with each row left in the order its entries were drawn:
-    the same sets, unsorted.  For readers that need only which values a
-    row holds.  Arguments are checked here, as there."""
-    _check_subsets(n, m, count)
-    return _fisher_yates_blocks(n, m, rng, count, sort=False)
-
-
-def _check_subsets(n: int, m: int, count: int) -> None:
     _check_count(count)
     if m < 0 or m > n:
         raise ValueError(f"subset size must satisfy 0 <= m <= n, got m={m}, n={n}")
+    return _fisher_yates_blocks(n, m, rng, count)
 
 
-def _fisher_yates_blocks(n: int, m: int, rng: np.random.Generator, count: int, sort: bool):
+def _fisher_yates_blocks(n: int, m: int, rng: np.random.Generator, count: int):
     dtype = _subset_dtype(n)
-    if m == n:
-        if count:
-            yield 0, np.broadcast_to(np.arange(n, dtype=dtype), (count, n))
-        return
     chunk = max(1, _FY_CHUNK_BYTES // (8 * n))
     for start in range(0, count, chunk):
-        # Yielded straight from the call, so this frame keeps no reference
-        # to the block, and the chunk's pool is already freed.
-        yield start, _fisher_yates_chunk(n, m, rng, min(chunk, count - start), dtype, sort)
+        c = min(chunk, count - start)
+        if m == n:
+            yield start, np.broadcast_to(np.arange(n, dtype=dtype), (c, n))
+        else:
+            # Yielded straight from the call, so this frame keeps no
+            # reference to the block, and the chunk's pool is already freed.
+            yield start, _fisher_yates_chunk(n, m, rng, c, dtype)
 
 
-def _fisher_yates_chunk(n: int, m: int, rng: np.random.Generator, c: int, dtype, sort: bool) -> np.ndarray:
-    """The first m entries of c partially shuffled pools of range(n)."""
+def _fisher_yates_chunk(n: int, m: int, rng: np.random.Generator, c: int, dtype) -> np.ndarray:
+    """The first m entries of c partially shuffled pools of range(n), each row sorted."""
     pool = np.broadcast_to(np.arange(n, dtype=dtype), (c, n)).copy()
     ar = np.arange(c)
     for j in range(m):
@@ -405,4 +374,4 @@ def _fisher_yates_chunk(n: int, m: int, rng: np.random.Generator, c: int, dtype,
         chosen = pool[ar, pick]
         pool[ar, pick] = pool[:, j]
         pool[:, j] = chosen
-    return np.sort(pool[:, :m], axis=1) if sort else pool[:, :m].copy()
+    return np.sort(pool[:, :m], axis=1)

@@ -10,9 +10,13 @@ derived off the config's master seed:
     verification check -> stream VERIFY_ROLE | check << 32 (+ offsets inside)
 
 Cells (construction x input family x axis value) are enumerated in a fixed
-order and may execute on a pool of ``workers`` threads (the CLI reads the
-count from JL_THREADS); aggregation happens in cell order, so output bytes
-never depend on the schedule.
+order and may execute on a pool of ``workers`` threads; aggregation happens
+in cell order, so output bytes never depend on the schedule.  Each input
+batch is drawn when the cells that share it start and is dropped when they
+end, so a run holds one input batch at a time.  The runners take
+``workers`` from their caller (default 1) and do not read the JL_THREADS
+environment variable: only the CLI does, once, so a library call runs one
+thread unless it passes ``workers``.
 """
 
 from __future__ import annotations
@@ -198,9 +202,26 @@ def _cell_deltas(
     return deltas
 
 
-def _run_cells(cfg: ExperimentConfig, cells, workers: int) -> list[np.ndarray]:
-    """Delta block of each (kind, k, vectors) cell; a cell's position is its seed."""
-    jobs = [partial(_cell_deltas, cfg, ci, kind, k, vectors) for ci, (kind, k, vectors) in enumerate(cells)]
+def _run_cells(cfg: ExperimentConfig, cells, draws, workers: int) -> list[np.ndarray]:
+    """Delta block of each (kind, k, batch key) cell; a cell's position is its seed.
+
+    ``draws`` maps each batch key to a function that draws that input
+    batch.  Batches are drawn in the order of ``draws``, each when its
+    cells start, and dropped when they end, so one input batch is held at
+    a time; a batch's cells run on a pool of ``workers`` threads.
+    """
+    blocks = [None] * len(cells)
+    for key, draw in draws.items():
+        batch_cells = [(ci, kind, k) for ci, (kind, k, batch) in enumerate(cells) if batch == key]
+        # The batch is only an argument, so it is freed when the call returns.
+        for (ci, _, _), block in zip(batch_cells, _run_batch(cfg, draw(), batch_cells, workers)):
+            blocks[ci] = block
+    return blocks
+
+
+def _run_batch(cfg: ExperimentConfig, vectors: InputBatch, cells, workers: int) -> list[np.ndarray]:
+    """Delta block of each (position, kind, k) cell on one input batch."""
+    jobs = [partial(_cell_deltas, cfg, ci, kind, k, vectors) for ci, kind, k in cells]
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -219,15 +240,15 @@ def _pooled_stats(blocks) -> tuple[float, float, int]:
 
 
 def _sweep(
-    cfg: ExperimentConfig, axis_name: str, axis_values, cells, workers: int, use_abs=False, order=None
+    cfg: ExperimentConfig, axis_name: str, axis_values, cells, draws, workers: int, use_abs=False, order=None
 ) -> SweepResult:
-    """Run (construction, family, axis value, kind, k, vectors) cells and reduce them to rows.
+    """Run (construction, family, axis value, kind, k, batch key) cells and reduce them to rows.
 
     Quantiles are taken per trial (of |delta| when ``use_abs``), then
     averaged over trials.  ``order`` lists the (cell position, axis value)
     of each row group; by default every cell once, in cell order.
     """
-    blocks = _run_cells(cfg, [cell[3:] for cell in cells], workers)
+    blocks = _run_cells(cfg, [cell[3:] for cell in cells], draws, workers)
     quantiles = [
         np.array([[quantile(deltas, p) for p in cfg.probes] for deltas in (np.abs(b) if use_abs else b)])
         for b in blocks
@@ -252,12 +273,12 @@ def _axis(name: str, values) -> tuple[int, ...]:
     return values
 
 
-def _families(cfg: ExperimentConfig):
-    """The dense and the sparse input batch."""
-    return [
-        ("dense", sample_unit_sphere_batch(cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))),
-        ("sparse", sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1))),
-    ]
+def _families(cfg: ExperimentConfig) -> dict:
+    """Draws of the dense and the sparse input batch, by family."""
+    return {
+        "dense": partial(sample_unit_sphere_batch, cfg.d, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0)),
+        "sparse": partial(sample_sparse_unit_batch, cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 1)),
+    }
 
 
 def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> SweepResult:
@@ -272,10 +293,11 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> Swe
         if not 1 <= s <= cfg.k:
             raise ValueError(f"sweep value s={s} must satisfy 1 <= s <= k={cfg.k}")
     check_entry_budget("delta block", cfg.trials, cfg.n)
+    draws = _families(cfg)
     cells = []
-    for family, vectors in _families(cfg):
-        cells += [("Sparse", family, s, GraphSparse(s), cfg.k, vectors) for s in s_values]
-        cells.append(("Ach", family, None, AchlioptasSparse(), cfg.k, vectors))
+    for family in draws:
+        cells += [("Sparse", family, s, GraphSparse(s), cfg.k, family) for s in s_values]
+        cells.append(("Ach", family, None, AchlioptasSparse(), cfg.k, family))
     position = {cell[:3]: ci for ci, cell in enumerate(cells)}
     order = [
         (position[construction, family, s if construction == "Sparse" else None], s)
@@ -283,7 +305,7 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> Swe
         for family in ("dense", "sparse")
         for s in s_values
     ]
-    return _sweep(cfg, "s", s_values, cells, workers, order=order)
+    return _sweep(cfg, "s", s_values, cells, draws, workers, order=order)
 
 
 def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) -> SweepResult:
@@ -291,23 +313,25 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) 
 
     Input vectors are redrawn per axis point (the axis changes the inputs);
     at t=1 the graph construction reproduces one column exactly, so its
-    distortion rows are identically zero.
+    distortion rows are identically zero.  A repeated t reuses the batch
+    of its last position.
     """
     t_values = _axis("t", t_values)
     for t in t_values:
         if not 1 <= t <= cfg.d:
             raise ValueError(f"sweep value t={t} must satisfy 1 <= t <= d={cfg.d}")
     check_entry_budget("delta block", cfg.trials, cfg.n)
-    vector_sets = {
-        t: sample_sparse_unit_batch(cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
+    check_entry_budget("sparse input block", cfg.n, max(t_values))  # every batch, before any is drawn
+    draws = {
+        t: partial(sample_sparse_unit_batch, cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
         for ti, t in enumerate(t_values)
     }
     cells = [
-        (construction, "sparse", t, _series_kind(construction, cfg.s), cfg.k, vector_sets[t])
+        (construction, "sparse", t, _series_kind(construction, cfg.s), cfg.k, t)
         for construction in ("Sparse", "Ach")
         for t in t_values
     ]
-    return _sweep(cfg, "t", t_values, cells, workers)
+    return _sweep(cfg, "t", t_values, cells, draws, workers)
 
 
 def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResult:
@@ -319,21 +343,21 @@ def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResul
         if "Sparse" in cfg.constructions and k < cfg.s:
             raise ValueError(f"sweep value k={k} is below the column sparsity s={cfg.s}")
     check_entry_budget("delta block", cfg.trials, cfg.n)
-    families = _families(cfg)
+    draws = _families(cfg)
     cells = [
-        (construction, family, k, _series_kind(construction, cfg.s), k, vectors)
+        (construction, family, k, _series_kind(construction, cfg.s), k, family)
         for construction in cfg.constructions
-        for family, vectors in families
+        for family in draws
         for k in k_values
     ]
-    return _sweep(cfg, "k", k_values, cells, workers, use_abs=True)
+    return _sweep(cfg, "k", k_values, cells, draws, workers, use_abs=True)
 
 
 def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec(), workers: int = 1) -> CdfResult:
     """Pooled distortion CDF per construction on sparse inputs (t = cfg.t)."""
     check_entry_budget("delta block", cfg.trials, cfg.n)
-    vectors = sample_sparse_unit_batch(cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
-    blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, vectors) for c in cfg.constructions], workers)
+    draw = partial(sample_sparse_unit_batch, cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
+    blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, 0) for c in cfg.constructions], {0: draw}, workers)
     samples = {c: block.ravel() for c, block in zip(cfg.constructions, blocks)}
     grid = grid_spec.grid()
     thresholds = grid_spec.tail_thresholds()

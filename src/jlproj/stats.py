@@ -32,7 +32,7 @@ from .core import (
     check_entry_budget,
     derive_stream,
     sample_unit_sphere_batch,
-    unsorted_subset_blocks,
+    subset_blocks,
 )
 
 # Unused here, but perfbench/spans.py traces both by their names in this
@@ -144,12 +144,12 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
     ``sample_transform(GraphSparse(s), k, 2 * num_pairs, seed)`` form pair m,
     so every pair is an independent draw of the per-pair collision law.  A
     layout draws its rows before its signs, so the rows are streamed here
-    one draw chunk at a time from the same draws, unsorted
-    (:func:`~jlproj.core.unsorted_subset_blocks`: the same sets as the
-    layout's sorted rows), and the signs are never drawn; the layout's
-    entry budget still applies.  Pair m's count is the number of column
-    2m+1's rows found in a (pairs, k) membership mask of column 2m's; a
-    pair split across two chunks carries its first column over.
+    one draw chunk at a time from the same draws
+    (:func:`~jlproj.core.subset_blocks`), and the signs are never drawn;
+    the layout's entry budget still applies.  Pair m's count is the number
+    of column 2m+1's rows found in a (pairs, k) membership mask of column
+    2m's, so the scratch is one chunk's mask; a pair split across two
+    chunks carries its first column over.
     """
     if s < 1 or num_pairs < 1:
         raise ValueError(f"need s >= 1 and num_pairs >= 1, got s={s}, num_pairs={num_pairs}")
@@ -158,7 +158,7 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
     check_entry_budget("graph layout", 2 * num_pairs, s)
     counts = np.empty(num_pairs, dtype=np.int64)
     left = None  # even column whose partner starts the next block
-    for start, block in unsorted_subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):
+    for start, block in subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):
         if start % 2:
             counts[start // 2] = _membership_counts(left[None], block[:1], k)[0]
             start, block = start + 1, block[1:]
@@ -172,8 +172,9 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
 
 def _membership_counts(first: np.ndarray, second: np.ndarray, k: int) -> np.ndarray:
     """How many entries row m of ``second`` shares with row m of ``first``,
-    for each m; rows hold distinct values in range(k).  Marks and reads a (rows, k) mask
-    one column at a time, so only one column's indices are widened."""
+    for each m; rows hold distinct values in range(k).  Marks and reads a
+    (rows, k) mask one column at a time, so only one column's indices are
+    widened."""
     rows = np.arange(len(first))
     seen = np.zeros((len(first), k), dtype=bool)
     for col in first.T:

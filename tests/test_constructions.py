@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,43 +109,28 @@ class TestDenseKinds:
         assert abs(zero_fraction - 2.0 / 3.0) <= 4.0 * se
 
     def test_achlioptas_map_at_the_interval_ends(self, monkeypatch):
-        """Raw words whose uniforms (w >> 11) * 2**-53 are 0, the largest
-        generator uniforms below 1/6, 1/3 and 1 and the smallest at or above
-        1/6 and 1/3 map to +sqrt(3/k) on [0, 1/6), -sqrt(3/k) on [1/6, 1/3)
-        and +0.0 on [1/3, 1)."""
-        low_bits = (1 << 11) - 1
-        words, uniforms = [0], [0.0]
-        for c in (1.0 / 6.0, 1.0 / 3.0):
-            at = math.ceil(Fraction(c) * 2**53)  # the first multiple of 2**-53 at or above c
-            assert (at - 1) * 2.0**-53 < c <= at * 2.0**-53
-            # The largest word of the uniform below c, then the smallest of the one at c.
-            words += [((at - 1) << 11) | low_bits, at << 11]
-            uniforms += [(at - 1) * 2.0**-53, at * 2.0**-53]
-        words.append((1 << 64) - 1)
-        uniforms.append(np.nextafter(1.0, 0.0))
-        words = np.array(words, dtype=np.uint64)
-        assert list((words >> np.uint64(11)) * 2.0**-53) == uniforms
+        """Uniforms at 0, 1/6, 1/3 and the floats next to them map to
+        +sqrt(3/k) on [0, 1/6), -sqrt(3/k) on [1/6, 1/3) and +0.0 on [1/3, 1)."""
+        sixth, third = 1.0 / 6.0, 1.0 / 3.0
+        u = np.array(
+            [
+                0.0, np.nextafter(0.0, 1.0), np.nextafter(sixth, 0.0),
+                sixth, np.nextafter(sixth, 1.0), np.nextafter(third, 0.0),
+                third, np.nextafter(third, 1.0), np.nextafter(1.0, 0.0),
+            ]
+        )  # fmt: skip
 
-        class FixedWords:
-            class bit_generator:
-                @staticmethod
-                def random_raw(shape):
-                    return np.broadcast_to(words, shape).copy()
+        class FixedUniforms:
+            def random(self, shape):
+                return np.broadcast_to(u, shape).copy()
 
-        monkeypatch.setattr(constructions, "derive_stream", lambda seed: FixedWords())
+        monkeypatch.setattr(constructions, "derive_stream", lambda seed: FixedUniforms())
         k = 3
-        entries = sample_transform(AchlioptasSparse(), k, len(words), SeedSpec(0, 0)).entries
+        entries = sample_transform(AchlioptasSparse(), k, len(u), SeedSpec(0, 0)).entries
         v = np.sqrt(3.0 / k)
         for row in entries:
-            assert list(row) == [v] * 2 + [-v] * 2 + [0.0] * 2
-            assert not np.signbit(row[4:]).any()
-
-    def test_uniforms_are_the_top_53_bits_of_raw_words(self):
-        """The Achlioptas draw compares raw words on the premise that
-        ``random`` is (random_raw >> 11) * 2**-53 on the same stream."""
-        uniforms = derive_stream(SeedSpec(3, 9)).random((37, 301))
-        words = derive_stream(SeedSpec(3, 9)).bit_generator.random_raw((37, 301))
-        assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+            assert list(row) == [v] * 3 + [-v] * 3 + [0.0] * 3
+            assert not np.signbit(row[6:]).any()
 
     def test_gaussian_moments(self):
         """Entry mean ~0 and variance ~1/k at 4 SE over 1e5 entries."""

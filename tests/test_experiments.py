@@ -2,12 +2,14 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jlproj import experiments
 from jlproj.apply import distortion
 from jlproj.constructions import sample_transform
 from jlproj.core import AchlioptasSparse, GraphSparse, SeedSpec, sample_unit_sphere_batch
@@ -180,6 +182,10 @@ class TestInputSparsitySweep:
         assert len(result.rows) == 2 * 3 * 2
         assert {r.input_family for r in result.rows} == {"sparse"}
 
+    def test_workers_change_no_row(self):
+        cfg = _small_cfg(trials=2)
+        assert run_input_sparsity_sweep(cfg, [1, 4, 16], workers=2) == run_input_sparsity_sweep(cfg, [1, 4, 16])
+
 
 class TestKSweep:
     def test_scaling_with_k(self):
@@ -222,6 +228,43 @@ class TestKSweep:
     def test_deterministic(self):
         cfg = _small_cfg(trials=2)
         assert run_k_sweep(cfg, [30]) == run_k_sweep(cfg, [30])
+
+    def test_workers_come_from_the_caller(self, monkeypatch):
+        """Runners take their thread count as ``workers`` (default 1) and
+        never read JL_THREADS; the count changes no result."""
+        monkeypatch.setenv("JL_THREADS", "abc")
+        cfg = _small_cfg(trials=2)
+        assert run_k_sweep(cfg, [20, 30], workers=3) == run_k_sweep(cfg, [20, 30])
+
+
+@pytest.mark.parametrize(
+    "run,axis,batches",
+    [
+        (run_sparsity_sweep, [2, 4], 2),
+        (run_input_sparsity_sweep, [1, 4, 16], 3),
+        (run_k_sweep, [20, 30], 2),
+        (run_cdf, None, 1),
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_input_batch_at_a_time(run, axis, batches, workers, monkeypatch):
+    """Every input batch is drawn when its cells start and freed before the
+    next one is drawn, and each is drawn once."""
+    drawn = []
+
+    def tracked(sampler):
+        def draw(*args):
+            assert all(ref() is None for ref in drawn), "an earlier batch is still held"
+            batch = sampler(*args)
+            drawn.append(weakref.ref(batch))
+            return batch
+
+        return draw
+
+    for name in ("sample_unit_sphere_batch", "sample_sparse_unit_batch"):
+        monkeypatch.setattr(experiments, name, tracked(getattr(experiments, name)))
+    run(*([_small_cfg(trials=2)] if axis is None else [_small_cfg(trials=2), axis]), workers=workers)
+    assert len(drawn) == batches
 
 
 class TestCdf:

@@ -264,9 +264,9 @@ class TestStreamedCollisions:
         assert peak <= 14 << 20
 
     def test_peak_memory_of_the_membership_mask(self):
-        """Counting by a (pairs, k) membership mask of the unsorted rows
-        holds one draw chunk at a time (11.6 MiB with a (pairs, s, s)
-        comparison and two pools held at once)."""
+        """Counting by a (pairs, k) membership mask holds one draw chunk at
+        a time (11.6 MiB with a (pairs, s, s) comparison and two pools held
+        at once)."""
         tracemalloc.start()
         try:
             sample_collision_counts(50, 16, 100_000, SeedSpec(10, 3))
@@ -274,6 +274,18 @@ class TestStreamedCollisions:
         finally:
             tracemalloc.stop()
         assert peak <= 10 << 20
+
+    def test_peak_memory_of_the_full_set(self):
+        """s == k comes in draw-chunk blocks too, so its mask is one chunk's
+        (a single 4 * 10^5-row block would need a 51 MB mask and more)."""
+        tracemalloc.start()
+        try:
+            counts = sample_collision_counts(256, 256, 200_000, SeedSpec(10, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts == 256).all()
+        assert peak <= 8 << 20
 
     @pytest.mark.parametrize("k,s,num_pairs", [(4, 5, 10), (4, 0, 10), (4, 2, 0)])
     def test_bad_arguments(self, k, s, num_pairs):
