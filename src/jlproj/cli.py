@@ -5,11 +5,12 @@ experiment subcommand writes its CSV to --out plus a JSON run manifest
 (config, seed, version, start time) next to it; the directory of --out
 must exist, which is checked before any sampling.  Exit codes: 0 on
 success, 1 when `verify` finds failing checks, 2 on invalid arguments
-(including a missing output directory, an empty --probes or an empty
-swept axis, each checked before any sampling), 3 when a transform, an
-input block or a cell's delta block would exceed the memory budget or an
-output cannot be written.  Outputs are written to a temp file and renamed
-into place.  Errors print one `error: ...` line on stderr.
+(including a missing output directory, an empty --probes, and a swept
+axis that is empty or repeats a value, each checked before any
+sampling), 3 when a transform, an input block or a cell's delta block
+would exceed the memory budget or an output cannot be written.  Outputs
+are written to a temp file and renamed into place.  Errors print one
+`error: ...` line on stderr.
 
 The JL_THREADS environment variable sets how many threads run experiment
 cells (unset means 1).  It is read once, before anything else runs; a
@@ -19,6 +20,7 @@ value that is not a positive integer exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from datetime import datetime, timezone
@@ -109,7 +111,7 @@ def _write_cdf(args, cfg: ExperimentConfig, result, started_at: str, grid: GridS
     out = Path(args.out)
     write_cdf_csv(result, out)
     write_tail_csv(result, out.with_suffix(".tail.csv"))
-    extra = {"grid": {k: getattr(grid, k) for k in ("lo", "hi", "points", "tail_lo", "tail_hi", "tail_points")}}
+    extra = {"grid": dataclasses.asdict(grid)}
     write_manifest(out.with_suffix(".manifest.json"), cfg, started_at, extra)
 
 

@@ -108,10 +108,7 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     The Achlioptas and graph-sign maps are exact: the Achlioptas map turns
     each uniform into an integer step in {1, -1, 0} and multiplies it by
     sqrt(3/k), and a sign bit b becomes 2b - 1, so every stored value is
-    exactly one of the listed ones.  Gaussian and Achlioptas values are
-    bit-identical to those of the earlier out-of-place maps; Rademacher
-    signs moved from one ``integers(0, 2)`` per entry to packed bytes, so
-    Rademacher transforms differ from those drawn before that change.
+    exactly one of the listed ones.
     """
     if k < 1 or d < 1:
         raise ValueError(f"transform shape must be positive, got k={k}, d={d}")

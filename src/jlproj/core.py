@@ -30,10 +30,7 @@ Draw conventions (fixed so that golden fixtures stay stable):
 Each transform family has one draw convention, documented in
 :func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
 bits (k*d of them, bit 1 -> +1/sqrt(k)), Gaussian entries scaled normals
-and Achlioptas entries mapped uniforms.  The Gaussian and Achlioptas values
-are bit-identical to those of the earlier out-of-place maps (a divided
-copy, a nested ``np.where``); only Rademacher moved, from one
-``integers(0, 2)`` per entry to packed bits.
+and Achlioptas entries mapped uniforms.
 
 Each input family has one draw convention, defined by its batch sampler
 (:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a

@@ -159,9 +159,6 @@ class SweepResult:
     axis_name: str
     axis_values: tuple[int, ...]
     rows: tuple[SweepRow, ...]
-    pooled_mean: float
-    pooled_std: float
-    pooled_count: int
 
 
 @dataclass(frozen=True)
@@ -174,9 +171,6 @@ class CdfResult:
     tail_thresholds: np.ndarray
     tail: dict[str, np.ndarray]
     samples: dict[str, np.ndarray]
-    pooled_mean: float
-    pooled_std: float
-    pooled_count: int
 
 
 @dataclass(frozen=True)
@@ -208,8 +202,10 @@ def _run_cells(cfg: ExperimentConfig, cells, draws, workers: int) -> list[np.nda
     ``draws`` maps each batch key to a function that draws that input
     batch.  Batches are drawn in the order of ``draws``, each when its
     cells start, and dropped when they end, so one input batch is held at
-    a time; a batch's cells run on a pool of ``workers`` threads.
+    a time; a batch's cells run on a pool of ``workers`` threads.  The
+    delta block's budget is checked before any batch is drawn.
     """
+    check_entry_budget("delta block", cfg.trials, cfg.n)
     blocks = [None] * len(cells)
     for key, draw in draws.items():
         batch_cells = [(ci, kind, k) for ci, (kind, k, batch) in enumerate(cells) if batch == key]
@@ -227,16 +223,6 @@ def _run_batch(cfg: ExperimentConfig, vectors: InputBatch, cells, workers: int) 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [future.result() for future in futures]
-
-
-def _pooled_stats(blocks) -> tuple[float, float, int]:
-    """Mean, sample std and count of every delta, summed per trial, then per cell."""
-    total = sum(sum(float(row.sum()) for row in block) for block in blocks)
-    total_sq = sum(sum(float(row @ row) for row in block) for block in blocks)
-    count = sum(block.size for block in blocks)
-    mean = total / count
-    var = max(0.0, (total_sq - count * mean * mean) / (count - 1)) if count > 1 else 0.0
-    return mean, math.sqrt(var), count
 
 
 def _sweep(
@@ -261,15 +247,20 @@ def _sweep(
             col = quantiles[ci][:, pi]
             std = float(col.std(ddof=1)) if cfg.trials > 1 else 0.0
             rows.append(SweepRow(*cells[ci][:2], axis_value, probe, float(col.mean()), std, cfg.trials))
-    mean, std, count = _pooled_stats(blocks)
-    return SweepResult(axis_name, tuple(axis_values), tuple(rows), mean, std, count)
+    return SweepResult(axis_name, tuple(axis_values), tuple(rows))
 
 
-def _axis(name: str, values) -> tuple[int, ...]:
-    """The swept values as ints; an empty axis is rejected before any draw."""
+def _axis(name: str, values, lo: int, hi: float) -> tuple[int, ...]:
+    """The swept values as ints, each in [lo, hi]; an empty axis or a
+    repeated value is rejected before any draw."""
     values = tuple(int(v) for v in values)
     if not values:
         raise ValueError(f"the {name} axis needs at least one value")
+    if len(set(values)) != len(values):
+        raise ValueError(f"the {name} axis must not repeat a value")
+    for v in values:
+        if not lo <= v <= hi:
+            raise ValueError(f"sweep value {name}={v} must satisfy {lo} <= {name} <= {hi}")
     return values
 
 
@@ -288,11 +279,7 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> Swe
     every axis point (its statistics do not depend on s, so its cell is
     computed once per family and replicated).
     """
-    s_values = _axis("s", s_values)
-    for s in s_values:
-        if not 1 <= s <= cfg.k:
-            raise ValueError(f"sweep value s={s} must satisfy 1 <= s <= k={cfg.k}")
-    check_entry_budget("delta block", cfg.trials, cfg.n)
+    s_values = _axis("s", s_values, 1, cfg.k)
     draws = _families(cfg)
     cells = []
     for family in draws:
@@ -313,14 +300,9 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) 
 
     Input vectors are redrawn per axis point (the axis changes the inputs);
     at t=1 the graph construction reproduces one column exactly, so its
-    distortion rows are identically zero.  A repeated t reuses the batch
-    of its last position.
+    distortion rows are identically zero.
     """
-    t_values = _axis("t", t_values)
-    for t in t_values:
-        if not 1 <= t <= cfg.d:
-            raise ValueError(f"sweep value t={t} must satisfy 1 <= t <= d={cfg.d}")
-    check_entry_budget("delta block", cfg.trials, cfg.n)
+    t_values = _axis("t", t_values, 1, cfg.d)
     check_entry_budget("sparse input block", cfg.n, max(t_values))  # every batch, before any is drawn
     draws = {
         t: partial(sample_sparse_unit_batch, cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
@@ -336,13 +318,7 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) 
 
 def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResult:
     """|delta| quantiles vs target dimension for every configured construction."""
-    k_values = _axis("k", k_values)
-    for k in k_values:
-        if k < 1:
-            raise ValueError(f"sweep value k={k} must be positive")
-        if "Sparse" in cfg.constructions and k < cfg.s:
-            raise ValueError(f"sweep value k={k} is below the column sparsity s={cfg.s}")
-    check_entry_budget("delta block", cfg.trials, cfg.n)
+    k_values = _axis("k", k_values, cfg.s if "Sparse" in cfg.constructions else 1, math.inf)
     draws = _families(cfg)
     cells = [
         (construction, family, k, _series_kind(construction, cfg.s), k, family)
@@ -355,13 +331,11 @@ def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResul
 
 def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec(), workers: int = 1) -> CdfResult:
     """Pooled distortion CDF per construction on sparse inputs (t = cfg.t)."""
-    check_entry_budget("delta block", cfg.trials, cfg.n)
     draw = partial(sample_sparse_unit_batch, cfg.d, cfg.t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | 0))
     blocks = _run_cells(cfg, [(_series_kind(c, cfg.s), cfg.k, 0) for c in cfg.constructions], {0: draw}, workers)
     samples = {c: block.ravel() for c, block in zip(cfg.constructions, blocks)}
     grid = grid_spec.grid()
     thresholds = grid_spec.tail_thresholds()
-    mean, std, count = _pooled_stats(blocks)
     return CdfResult(
         grid=grid,
         constructions=tuple(cfg.constructions),
@@ -369,9 +343,6 @@ def run_cdf(cfg: ExperimentConfig, grid_spec: GridSpec = GridSpec(), workers: in
         tail_thresholds=thresholds,
         tail={c: np.array([np.mean(np.abs(deltas) > thr) for thr in thresholds]) for c, deltas in samples.items()},
         samples=samples,
-        pooled_mean=mean,
-        pooled_std=std,
-        pooled_count=count,
     )
 
 

@@ -242,7 +242,7 @@ def test_sparse_input_budget_exits_three_before_sampling(command, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["sweep-k", "cdf"])
+@pytest.mark.parametrize("command", ["sweep-s", "sweep-t", "sweep-k", "cdf"])
 def test_delta_block_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
     """trials * n above the entry budget: each cell's delta block is 2000000 x 1000."""
     from jlproj import core
@@ -264,6 +264,20 @@ def test_empty_axis_exits_two_before_sampling(command, axis, tmp_path, capsys, m
     argv = [command, f"--{axis}", "", "--n", "50", "--d", "100", "--trials", "1"]
     assert cli_main(argv + ["--out", str(tmp_path / "e.csv")]) == 2
     assert capsys.readouterr().err == f"error: the {axis} axis needs at least one value\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,axis,values", [("sweep-s", "s", "4,2,4"), ("sweep-t", "t", "5,2,5"), ("sweep-k", "k", "32,16,32")]
+)
+def test_repeated_axis_value_exits_two_before_sampling(command, axis, values, tmp_path, capsys, monkeypatch):
+    """A swept axis that repeats a value is rejected before any input batch is drawn."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    argv = [command, f"--{axis}", values, "--n", "50", "--d", "100", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: the {axis} axis must not repeat a value\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -123,11 +123,6 @@ class TestSparsitySweep:
         cfg = _small_cfg(trials=1)
         assert run_sparsity_sweep(cfg, [2, 4]) == run_sparsity_sweep(cfg, [2, 4])
 
-    def test_pooled_mean_centered(self):
-        result = run_sparsity_sweep(_small_cfg(), [1, 4])
-        se = result.pooled_std / math.sqrt(result.pooled_count)
-        assert abs(result.pooled_mean) <= 4.0 * se
-
     def test_full_density_matches_achlioptas_abs_median(self):
         """At s=k with dense inputs the graph and Achlioptas series agree.
 
@@ -225,6 +220,12 @@ class TestKSweep:
         with pytest.raises(ValueError):
             run_k_sweep(_small_cfg(s=8), [4])
 
+    def test_k_below_s_without_sparse(self):
+        """The s lower bound binds only when the graph construction runs."""
+        result = run_k_sweep(_small_cfg(s=8, constructions=("Dense", "Ach")), [4])
+        assert result.axis_values == (4,)
+        assert {r.construction for r in result.rows} == {"Dense", "Ach"}
+
     def test_deterministic(self):
         cfg = _small_cfg(trials=2)
         assert run_k_sweep(cfg, [30]) == run_k_sweep(cfg, [30])
@@ -303,8 +304,9 @@ class TestCdf:
 
     def test_pooled_mean_centered(self):
         result = run_cdf(_small_cfg(trials=6), GridSpec())
-        se = result.pooled_std / math.sqrt(result.pooled_count)
-        assert abs(result.pooled_mean) <= 4.0 * se
+        pooled = np.concatenate(list(result.samples.values()))
+        se = pooled.std(ddof=1) / math.sqrt(pooled.size)
+        assert abs(pooled.mean()) <= 4.0 * se
 
 
 class TestTrialIndependence:
