@@ -7,10 +7,11 @@ must exist, which is checked before any sampling.  Exit codes: 0 on
 success, 1 when `verify` finds failing checks, 2 on invalid arguments
 (including a missing output directory, an empty --probes, and a swept
 axis that is empty or repeats a value, each checked before any
-sampling), 3 when a transform, an input block or a cell's delta block
-would exceed the memory budget or an output cannot be written.  Outputs
-are written to a temp file and renamed into place.  Errors print one
-`error: ...` line on stderr.
+sampling), 3 when a transform, an input block, a cell's delta block or
+a cdf grid would exceed the memory budget (also checked before any
+sampling) or an output cannot be written.  Outputs are written to a temp
+file and renamed into place.  Errors print one `error: ...` line on
+stderr.
 
 The JL_THREADS environment variable sets how many threads run experiment
 cells (unset means 1).  It is read once, before anything else runs; a

@@ -99,14 +99,15 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
       dtype=uint8)``, unpacked most significant bit first into k*d bits
       read in row-major (k, d) order; bit 1 stores +1/sqrt(k) and bit 0
       stores -1/sqrt(k).
-    * AchlioptasSparse: one (k, d) ``random`` block, mapped
-      [0, 1/6) -> +sqrt(3/k), [1/6, 1/3) -> -sqrt(3/k), [1/3, 1) -> +0.0.
+    * AchlioptasSparse: one (k, d) block of ``integers(0, 6,
+      dtype=uint8)`` bytes, mapped 0 -> +sqrt(3/k), 1 -> -sqrt(3/k) and
+      2, 3, 4, 5 -> +0.0.
     * GraphSparse: all column row-subsets first
       (:func:`~jlproj.core.sample_without_replacement`), then a (d, s)
       block of ``integers(0, 2)`` signs, 1 -> +1 and 0 -> -1.
 
     The Achlioptas and graph-sign maps are exact: the Achlioptas map turns
-    each uniform into an integer step in {1, -1, 0} and multiplies it by
+    each byte into an integer step in {1, -1, 0} and multiplies it by
     sqrt(3/k), and a sign bit b becomes 2b - 1, so every stored value is
     exactly one of the listed ones.
     """
@@ -138,15 +139,16 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         entries *= 2.0 / np.sqrt(k)
         entries -= 1.0 / np.sqrt(k)
     elif isinstance(kind, AchlioptasSparse):
-        u = rng.random((k, d))
-        value = np.sqrt(3.0 / k)
-        # step is 2 - 1 = 1 on [0, 1/6), 0 - 1 = -1 on [1/6, 1/3) and 0 on
-        # [1/3, 1), so step * value is exactly +value, -value or +0.0.
-        step = (u < 1.0 / 6.0).view(np.int8) * np.int8(2)
-        step -= (u < 1.0 / 3.0).view(np.int8)
-        del u  # so the uniforms and the entries are never held at once
-        entries = step.astype(np.float64)
-        entries *= value
+        u = rng.integers(0, 6, size=(k, d), dtype=np.uint8)
+        # The step (u == 0) - (u == 1) in {1, -1, 0} is built in place in
+        # the entries, so each is exactly +-sqrt(3/k) or +0.0, and the draw
+        # holds 9 bytes per entry (bytes and entries) with no temporary.
+        entries = np.empty((k, d))
+        np.equal(u, 0, out=entries)
+        np.equal(u, 1, out=u)
+        entries -= u
+        del u
+        entries *= np.sqrt(3.0 / k)
     else:
         raise TypeError(f"unknown construction kind: {kind!r}")
     entries.setflags(write=False)

@@ -119,7 +119,8 @@ def desk_scale_config(**overrides) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """CDF evaluation grid plus log-spaced |delta| tail thresholds."""
+    """CDF evaluation grid plus log-spaced |delta| tail thresholds; both
+    point counts are held to the entry budget when the spec is built."""
 
     lo: float = -1.0
     hi: float = 1.0
@@ -133,6 +134,8 @@ class GridSpec:
             raise ValueError("grid needs lo < hi and at least 2 points")
         if not 0.0 < self.tail_lo < self.tail_hi or self.tail_points < 2:
             raise ValueError("tail thresholds need 0 < tail_lo < tail_hi and >= 2 points")
+        check_entry_budget("CDF grid", 1, self.points)
+        check_entry_budget("tail grid", 1, self.tail_points)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)

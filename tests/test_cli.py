@@ -255,6 +255,20 @@ def test_delta_block_budget_exits_three_before_sampling(command, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag,what", [("--grid-points", "CDF grid"), ("--tail-points", "tail grid")])
+def test_cdf_grid_budget_exits_three_before_sampling(flag, what, tmp_path, capsys, monkeypatch):
+    """A cdf grid of 10^11 points is refused before any draw, in one line."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    argv = ["cdf", "--n", "50", "--d", "100", "--trials", "1", flag, "100000000000"]
+    assert cli_main(argv + ["--out", str(tmp_path / "g.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} of 1x100000000000") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,axis", [("sweep-s", "s"), ("sweep-t", "t"), ("sweep-k", "k")])
 def test_empty_axis_exits_two_before_sampling(command, axis, tmp_path, capsys, monkeypatch):
     """An empty swept axis is rejected before any input batch is drawn."""

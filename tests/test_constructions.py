@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,29 +109,32 @@ class TestDenseKinds:
         se = math.sqrt((2.0 / 9.0) / (k * d))
         assert abs(zero_fraction - 2.0 / 3.0) <= 4.0 * se
 
-    def test_achlioptas_map_at_the_interval_ends(self, monkeypatch):
-        """Uniforms at 0, 1/6, 1/3 and the floats next to them map to
-        +sqrt(3/k) on [0, 1/6), -sqrt(3/k) on [1/6, 1/3) and +0.0 on [1/3, 1)."""
-        sixth, third = 1.0 / 6.0, 1.0 / 3.0
-        u = np.array(
-            [
-                0.0, np.nextafter(0.0, 1.0), np.nextafter(sixth, 0.0),
-                sixth, np.nextafter(sixth, 1.0), np.nextafter(third, 0.0),
-                third, np.nextafter(third, 1.0), np.nextafter(1.0, 0.0),
-            ]
-        )  # fmt: skip
+    def test_achlioptas_byte_map(self, monkeypatch):
+        """Bytes 0..5 map to +sqrt(3/k), -sqrt(3/k) and four +0.0 (never -0.0)."""
 
-        class FixedUniforms:
-            def random(self, shape):
-                return np.broadcast_to(u, shape).copy()
+        class EveryByte:
+            def integers(self, low, high, size, dtype):
+                assert (low, high, dtype) == (0, 6, np.uint8)
+                return np.broadcast_to(np.arange(6, dtype=np.uint8), size).copy()
 
-        monkeypatch.setattr(constructions, "derive_stream", lambda seed: FixedUniforms())
+        monkeypatch.setattr(constructions, "derive_stream", lambda seed: EveryByte())
         k = 3
-        entries = sample_transform(AchlioptasSparse(), k, len(u), SeedSpec(0, 0)).entries
+        entries = sample_transform(AchlioptasSparse(), k, 6, SeedSpec(0, 0)).entries
         v = np.sqrt(3.0 / k)
         for row in entries:
-            assert list(row) == [v] * 3 + [-v] * 3 + [0.0] * 3
-            assert not np.signbit(row[6:]).any()
+            assert list(row) == [v, -v, 0.0, 0.0, 0.0, 0.0]
+            assert not np.signbit(row[2:]).any()
+
+    def test_peak_memory_of_the_achlioptas_draw(self):
+        """At most 9 bytes per entry (the bytes and the float64 entries) + 1 MiB."""
+        k, d = 400, 10_000
+        tracemalloc.start()
+        try:
+            sample_transform(AchlioptasSparse(), k, d, SeedSpec(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * k * d + (1 << 20)
 
     def test_gaussian_moments(self):
         """Entry mean ~0 and variance ~1/k at 4 SE over 1e5 entries."""

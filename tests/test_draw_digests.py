@@ -4,8 +4,11 @@ The Gaussian, Achlioptas, graph-layout and subset digests in
 ``tests/data/golden_draws.json`` fix the draw conventions documented in
 ``sample_transform`` and ``sample_without_replacement``: any change to how
 generator output becomes stored values, or to the order in which draws are
-consumed, changes them.  The two subset cases span several pool chunks.
-The Rademacher digest pins the packed-byte sign convention.
+consumed, changes them.  The two subset cases span several pool chunks
+(the second in int8 pools), so they also pin that the pool's layout and
+the sort's working type change no subset.  The Rademacher digest pins the
+packed-byte sign convention and the Achlioptas digest the
+``integers(0, 6, dtype=uint8)`` byte map.
 """
 
 import hashlib
