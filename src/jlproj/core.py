@@ -11,7 +11,6 @@ are consumed, which is what makes parallel experiment cells reproducible.
 
 Draw conventions (fixed so that golden fixtures stay stable):
 
-* uniforms: ``Generator.random`` (53-bit float64 in [0, 1))
 * normals:  ``Generator.standard_normal`` (numpy's ziggurat method)
 * bounded integers: ``Generator.integers`` (Lemire rejection sampling)
 * fair bits: ``ceil(n / 8)`` bytes from ``Generator.integers(0, 256,
@@ -383,10 +382,9 @@ def _fisher_yates_chunk(n: int, m: int, rng: np.random.Generator, c: int, dtype)
         pool[j] = chosen
     block = pool[:m].T.copy()
     del pool, flat
-    if dtype == np.int8 and m > 4:
-        # numpy sorts int16 rows of more than 4 entries faster than int8
-        # ones (5x at 16; shorter int8 rows sort faster as they are).  The
-        # widened copy is made only now, after the pool is freed.
+    if dtype == np.int8:
+        # numpy sorts int16 rows faster than int8 ones (5x at 16 entries).
+        # The widened copy is made only now, after the pool is freed.
         wide = block.astype(np.int16)
         wide.sort(axis=1)
         block[...] = wide
