@@ -3,15 +3,16 @@
 Subcommands: sweep-s, sweep-t, sweep-k, cdf, verify, required-k.  Every
 experiment subcommand writes its CSV to --out plus a JSON run manifest
 (config, seed, version, start time) next to it; the directory of --out
-must exist, which is checked before any sampling.  Exit codes: 0 on
-success, 1 when `verify` finds failing checks, 2 on invalid arguments
-(including a missing output directory, an empty --probes, and a swept
-axis that is empty or repeats a value, each checked before any
-sampling), 3 when a transform, an input block, a cell's delta block or
-a cdf grid would exceed the memory budget (also checked before any
-sampling) or an output cannot be written.  Outputs are written to a temp
-file and renamed into place.  Errors print one `error: ...` line on
-stderr.
+must exist and --out must not be a directory, both checked before any
+sampling.  Exit codes: 0 on success, 1 when `verify` finds failing
+checks, 2 on invalid arguments (including a missing output directory,
+an empty --probes, an infinite cdf grid or tail bound, and a swept axis
+that is empty or repeats a value, each checked before any sampling), 3
+when an input block, a cell's delta block, any cell's transform or a cdf
+grid would exceed the memory budget (also checked before any sampling)
+or an output cannot be written (including --out naming an existing
+directory).  Outputs are written to a temp file and renamed into place.
+Errors print one `error: ...` line on stderr.
 
 The JL_THREADS environment variable sets how many threads run experiment
 cells (unset means 1).  It is read once, before anything else runs; a
@@ -176,6 +177,8 @@ def cli_main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out is not None and not Path(out).parent.is_dir():
             raise ValueError(f"output directory {Path(out).parent} is not an existing directory")
+        if out is not None and Path(out).is_dir():
+            raise IsADirectoryError(f"--out {out} is an existing directory, not a file path")
         if args.command == "sweep-s":
             cfg = _build_config(args, k=args.k, s=1, t=args.t)
             s_values = args.s if args.s is not None else [s for s in DEFAULT_S_GRID if s <= cfg.k]

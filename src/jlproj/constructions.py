@@ -87,6 +87,16 @@ class SparseColumnLayout:
 Transform = Union[DenseTransform, SparseColumnLayout]
 
 
+def check_transform_budget(kind: ConstructionKind, k: int, d: int) -> None:
+    """Raise ResourceLimitError when a k x d transform of ``kind`` would
+    exceed the entry budget: its (d, s) layout for the graph construction,
+    its (k, d) entries for the others."""
+    if isinstance(kind, GraphSparse):
+        check_entry_budget("graph layout", d, kind.s)
+    else:
+        check_entry_budget("dense transform", k, d)
+
+
 def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> Transform:
     """Sample a transform of the given family; deterministic in ``seed``.
 
@@ -113,11 +123,11 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     """
     if k < 1 or d < 1:
         raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
+    if isinstance(kind, GraphSparse) and kind.s > k:
+        raise ValueError(f"column sparsity s={kind.s} exceeds k={k}")
+    check_transform_budget(kind, k, d)
+    rng = derive_stream(seed)
     if isinstance(kind, GraphSparse):
-        if kind.s > k:
-            raise ValueError(f"column sparsity s={kind.s} exceeds k={k}")
-        check_entry_budget("graph layout", d, kind.s)
-        rng = derive_stream(seed)
         rows = sample_without_replacement(k, kind.s, rng, count=d)
         signs = rng.integers(0, 2, size=(d, kind.s)).astype(np.float64)
         signs *= 2.0
@@ -125,9 +135,6 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         rows.setflags(write=False)
         signs.setflags(write=False)
         return SparseColumnLayout(k=k, d=d, s=kind.s, rows=rows, signs=signs, seed=seed)
-
-    check_entry_budget("dense transform", k, d)
-    rng = derive_stream(seed)
     if isinstance(kind, DenseGaussian):
         entries = rng.standard_normal((k, d))
         entries /= np.sqrt(k)
@@ -153,13 +160,6 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         raise TypeError(f"unknown construction kind: {kind!r}")
     entries.setflags(write=False)
     return DenseTransform(k=k, d=d, entries=entries, kind=kind, seed=seed)
-
-
-def nnz(transform: Transform) -> int:
-    """Exact count of structurally nonzero stored entries."""
-    if isinstance(transform, SparseColumnLayout):
-        return transform.s * transform.d
-    return int(np.count_nonzero(transform.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -169,16 +169,6 @@ class InputVector:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def sq_norm(self) -> float:
-        return float(self.values @ self.values)
-
-    def to_dense(self) -> np.ndarray:
-        if self.indices is None:
-            return self.values
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
-
 
 @dataclass(frozen=True)
 class InputBatch:
@@ -271,11 +261,6 @@ def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> InputBatch:
     _normalize_rows(block)
     block.setflags(write=False)
     return InputBatch(d, block)
-
-
-def sample_sparse_unit(d: int, t: int, seed: SeedSpec) -> InputVector:
-    """Sparse unit vector with t nonzeros: a batch of one."""
-    return sample_sparse_unit_batch(d, t, 1, seed)[0]
 
 
 def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> InputBatch:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._version import __version__
 from .apply import distortion_batch
-from .constructions import sample_transform
+from .constructions import check_transform_budget, sample_transform
 from .core import (
     AchlioptasSparse,
     ConstructionKind,
@@ -119,8 +119,9 @@ def desk_scale_config(**overrides) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """CDF evaluation grid plus log-spaced |delta| tail thresholds; both
-    point counts are held to the entry budget when the spec is built."""
+    """CDF evaluation grid plus log-spaced |delta| tail thresholds; the
+    bounds (and the grid's span) must be finite and both point counts are
+    held to the entry budget when the spec is built."""
 
     lo: float = -1.0
     hi: float = 1.0
@@ -130,6 +131,8 @@ class GridSpec:
     tail_points: int = 17
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.lo, self.hi, self.hi - self.lo, self.tail_lo, self.tail_hi))):
+            raise ValueError("grid and tail bounds must be finite, and so must hi - lo")
         if not self.lo < self.hi or self.points < 2:
             raise ValueError("grid needs lo < hi and at least 2 points")
         if not 0.0 < self.tail_lo < self.tail_hi or self.tail_points < 2:
@@ -206,9 +209,12 @@ def _run_cells(cfg: ExperimentConfig, cells, draws, workers: int) -> list[np.nda
     batch.  Batches are drawn in the order of ``draws``, each when its
     cells start, and dropped when they end, so one input batch is held at
     a time; a batch's cells run on a pool of ``workers`` threads.  The
-    delta block's budget is checked before any batch is drawn.
+    budgets of the delta block and of every cell's transform are checked
+    before any batch is drawn.
     """
     check_entry_budget("delta block", cfg.trials, cfg.n)
+    for kind, k, _ in cells:
+        check_transform_budget(kind, k, cfg.d)
     blocks = [None] * len(cells)
     for key, draw in draws.items():
         batch_cells = [(ci, kind, k) for ci, (kind, k, batch) in enumerate(cells) if batch == key]
@@ -359,7 +365,11 @@ def required_k(n: int, epsilon: float) -> int:
         raise ValueError(f"need n >= 2, got n={n}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return math.ceil(12.0 * (3.0 * math.log(n) + math.log(2.0)) / (epsilon * epsilon))
+    sq = epsilon * epsilon
+    k = 12.0 * (3.0 * math.log(n) + math.log(2.0)) / sq if sq else math.inf
+    if not math.isfinite(k):
+        raise ValueError(f"epsilon={epsilon} is too small: the required k overflows a float")
+    return math.ceil(k)
 
 
 # ---------------------------------------------------------------------------

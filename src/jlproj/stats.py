@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .apply import distortion_batch
-from .constructions import SparseColumnLayout, sample_transform
+from .constructions import sample_transform
 from .core import (
     AchlioptasSparse,
     ConstructionKind,
@@ -39,15 +39,6 @@ from .core import (
 # module, and a name it cannot find fails its traced run.
 from .apply import distortion  # noqa: F401
 from .core import sample_unit_sphere  # noqa: F401
-
-
-@dataclass(frozen=True)
-class QuantileSummary:
-    """Nearest-rank quantiles of one sample set at the given probes."""
-
-    probes: tuple[float, ...]
-    values: tuple[float, ...]
-    n: int
 
 
 @dataclass(frozen=True)
@@ -110,13 +101,6 @@ def quantile(samples, p: float) -> float:
     return float(np.sort(arr)[rank - 1])
 
 
-def quantile_summary(samples, probes) -> QuantileSummary:
-    """Quantiles at several probes; values are non-decreasing in probe order."""
-    arr = np.asarray(samples, dtype=np.float64)
-    values = tuple(quantile(arr, p) for p in probes)
-    return QuantileSummary(probes=tuple(probes), values=values, n=int(arr.size))
-
-
 def empirical_cdf(samples, grid) -> np.ndarray:
     """Fraction of samples <= g for each grid point g (grid must be ascending)."""
     arr = np.asarray(samples, dtype=np.float64)
@@ -126,15 +110,6 @@ def empirical_cdf(samples, grid) -> np.ndarray:
     if pts.size > 1 and np.any(np.diff(pts) < 0):
         raise ValueError("grid must be sorted ascending")
     return np.searchsorted(np.sort(arr), pts, side="right") / arr.size
-
-
-def collision_count(layout: SparseColumnLayout, i: int, j: int) -> int:
-    """Number of rows where columns i and j are both nonzero."""
-    if i == j:
-        raise ValueError("collision count requires two distinct columns")
-    if not (0 <= i < layout.d and 0 <= j < layout.d):
-        raise ValueError(f"column indices must lie in [0, {layout.d}), got {i}, {j}")
-    return int(np.intersect1d(layout.rows[i], layout.rows[j], assume_unique=True).size)
 
 
 def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> np.ndarray:

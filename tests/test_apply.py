@@ -20,7 +20,6 @@ from jlproj.core import (
     InputVector,
     Rademacher,
     SeedSpec,
-    sample_sparse_unit,
     sample_sparse_unit_batch,
     sample_unit_sphere,
     sample_unit_sphere_batch,
@@ -36,6 +35,15 @@ def _fixed_dense(entries):
     entries = np.asarray(entries, dtype=np.float64)
     k, d = entries.shape
     return DenseTransform(k=k, d=d, entries=entries, kind=DenseGaussian())
+
+
+def _densify(x):
+    """x as a dense length-dim array."""
+    if x.indices is None:
+        return x.values
+    dense = np.zeros(x.dim)
+    dense[x.indices] = x.values
+    return dense
 
 
 def _stack(xs):
@@ -144,7 +152,7 @@ class TestDistortionBatch:
 
     def test_order_and_ids(self):
         t = sample_transform(GraphSparse(3), 10, 40, SeedSpec(0, 5))
-        xs = [sample_sparse_unit(40, 4, SeedSpec(1, i)) for i in range(5)]
+        xs = [sample_sparse_unit_batch(40, 4, 1, SeedSpec(1, i))[0] for i in range(5)]
         deltas = distortion_batch(t, _stack(xs))
         assert deltas.dtype == np.float64 and deltas.shape == (5,)
         for delta, x in zip(deltas, xs):
@@ -164,8 +172,8 @@ class TestPathEquivalence:
         """Sparse-stored and densified inputs agree within 1e-12 per coordinate."""
         d = 300
         transform = sample_transform(kind, 24, d, SeedSpec(40 + seed, 0))
-        x = sample_sparse_unit(d, 20, SeedSpec(40 + seed, 1))
-        dense_x = InputVector(dim=d, values=x.to_dense())
+        x = sample_sparse_unit_batch(d, 20, 1, SeedSpec(40 + seed, 1))[0]
+        dense_x = InputVector(dim=d, values=_densify(x))
         y_sparse = apply(transform, x)
         y_dense = apply(transform, dense_x)
         assert np.max(np.abs(y_sparse - y_dense)) <= 1e-12
@@ -191,7 +199,7 @@ class TestPathEquivalence:
 class TestWorkCounter:
     def test_graph_sparse_fast_path_touches_t_times_s(self):
         layout = sample_transform(GraphSparse(16), 50, 1000, SeedSpec(6, 0))
-        x = sample_sparse_unit(1000, 5, SeedSpec(6, 1))
+        x = sample_sparse_unit_batch(1000, 5, 1, SeedSpec(6, 1))[0]
         counter = WorkCounter()
         apply(layout, x, counter)
         assert counter.entries_touched == 5 * 16
@@ -206,12 +214,12 @@ class TestWorkCounter:
         transform = sample_transform(Rademacher(), 20, 100, SeedSpec(6, 4))
         counter = WorkCounter()
         apply(transform, sample_unit_sphere(100, SeedSpec(6, 5)), counter)
-        apply(transform, sample_sparse_unit(100, 7, SeedSpec(6, 6)), counter)
+        apply(transform, sample_sparse_unit_batch(100, 7, 1, SeedSpec(6, 6))[0], counter)
         assert counter.entries_touched == 20 * 100 + 20 * 7
 
     def test_counter_accumulates_through_distortion(self):
         layout = sample_transform(GraphSparse(16), 50, 1000, SeedSpec(6, 7))
-        xs = [sample_sparse_unit(1000, 5, SeedSpec(7, i)) for i in range(3)]
+        xs = [sample_sparse_unit_batch(1000, 5, 1, SeedSpec(7, i))[0] for i in range(3)]
         counter = WorkCounter()
         distortion_batch(layout, _stack(xs), counter=counter)
         assert counter.entries_touched == 3 * 5 * 16
@@ -305,8 +313,8 @@ class TestBatchedKernel:
             sample_sparse_unit_batch(self.D, 11, 30, SeedSpec(61, 2)),
         ):
             for x in xs:
-                assert np.max(np.abs(apply(transform, x) - transform.entries @ x.to_dense())) <= 1e-12
-            expected = [float(y @ y) - 1.0 for y in (transform.entries @ x.to_dense() for x in xs)]
+                assert np.max(np.abs(apply(transform, x) - transform.entries @ _densify(x))) <= 1e-12
+            expected = [float(y @ y) - 1.0 for y in (transform.entries @ _densify(x) for x in xs)]
             assert np.max(np.abs(distortion_batch(transform, xs) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("rows", [1, 2, 3])

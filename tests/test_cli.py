@@ -74,6 +74,15 @@ def test_required_k_prints_integer(capsys):
     assert capsys.readouterr().out.strip() == str(required_k(5000, 0.2))
 
 
+@pytest.mark.parametrize("eps", ["1e-200", "1e-160"])
+def test_required_k_tiny_eps_exits_two(eps, capsys):
+    """eps^2 underflows to 0 or the bound overflows: one error line, no traceback."""
+    assert cli_main(["required-k", "--n", "10", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_verify_passes(capsys):
     code = cli_main(["verify", "--seed", "3", "--trials", "200", "--pairs", "20000"])
     out = capsys.readouterr().out
@@ -215,6 +224,54 @@ def test_missing_output_directory_fails_before_sampling(tmp_path, capsys, monkey
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("sampling started before the block was checked")
+
+
+@pytest.mark.parametrize("command", ["sweep-s", "sweep-t", "sweep-k", "cdf"])
+def test_out_is_a_directory_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
+    """--out naming an existing directory is refused in one line naming --out."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    assert cli_main([command, *_SMALL, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-k", "--n", "1", "--d", "2700000", "--k", "400", "--constructions", "Dense"],
+        ["sweep-t", "--n", "2", "--d", "2700000", "--k", "400", "--t", "5"],
+    ],
+    ids=["sweep-k", "sweep-t"],
+)
+def test_transform_budget_exits_three_before_sampling(argv, tmp_path, capsys, monkeypatch):
+    """A 400 x 2700000 dense transform is refused before the input batch is drawn."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    assert cli_main([*argv, "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense transform of 400x2700000") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--grid-min", "-inf"), ("--grid-max", "inf"), ("--tail-min", "-inf"), ("--tail-max", "inf")]
+)
+def test_cdf_infinite_bound_exits_two_before_sampling(flag, value, tmp_path, capsys, monkeypatch):
+    """An infinite grid or tail bound would write nan; it is refused before any draw."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    argv = ["cdf", *_SMALL, f"{flag}={value}", "--out", str(tmp_path / "c.csv")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["sweep-s", "sweep-k"])

@@ -16,7 +16,6 @@ from jlproj.core import (
     InputVector,
     SeedSpec,
     derive_stream,
-    sample_sparse_unit,
     sample_sparse_unit_batch,
     sample_unit_sphere,
     sample_unit_sphere_batch,
@@ -78,8 +77,8 @@ class TestUnitSphere:
             assert x.values[0] in (1.0, -1.0)
 
     def test_norm_at_large_dimension(self):
-        x = sample_unit_sphere(10000, SeedSpec(1, 0))
-        assert abs(np.sqrt(x.sq_norm()) - 1.0) <= 1e-12
+        xs = sample_unit_sphere_batch(10000, 1, SeedSpec(1, 0))
+        assert abs(xs.norms[0] - 1.0) <= 1e-12
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -101,30 +100,24 @@ class TestUnitSphere:
 
 class TestSparseUnit:
     def test_support_and_norm(self):
-        x = sample_sparse_unit(10000, 5, SeedSpec(2, 0))
-        assert x.nnz == 5
-        assert abs(x.sq_norm() - 1.0) <= 1e-12
-        assert np.all(np.diff(x.indices) > 0)
+        xs = sample_sparse_unit_batch(10000, 5, 1, SeedSpec(2, 0))
+        assert xs[0].nnz == 5
+        assert abs(xs.norms[0] ** 2 - 1.0) <= 1e-12
+        assert np.all(np.diff(xs[0].indices) > 0)
 
     def test_full_support(self):
-        x = sample_sparse_unit(50, 50, SeedSpec(2, 1))
-        assert np.array_equal(x.indices, np.arange(50))
-        assert abs(x.sq_norm() - 1.0) <= 1e-12
+        xs = sample_sparse_unit_batch(50, 50, 1, SeedSpec(2, 1))
+        assert np.array_equal(xs[0].indices, np.arange(50))
+        assert abs(xs.norms[0] ** 2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d,t", [(10, 0), (10, 11), (0, 1)])
     def test_invalid_arguments(self, d, t):
         with pytest.raises(ValueError):
-            sample_sparse_unit(d, t, SeedSpec(0, 0))
-
-    def test_densify_round_trip(self):
-        x = sample_sparse_unit(40, 7, SeedSpec(3, 2))
-        dense = x.to_dense()
-        assert np.count_nonzero(dense) == 7
-        assert np.array_equal(dense[x.indices], x.values)
+            sample_sparse_unit_batch(d, t, 1, SeedSpec(0, 0))
 
     def test_determinism(self):
-        a = sample_sparse_unit(300, 9, SeedSpec(5, 8))
-        b = sample_sparse_unit(300, 9, SeedSpec(5, 8))
+        a = sample_sparse_unit_batch(300, 9, 1, SeedSpec(5, 8))[0]
+        b = sample_sparse_unit_batch(300, 9, 1, SeedSpec(5, 8))[0]
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 
@@ -137,13 +130,6 @@ class TestSingleDrawIsBatchOfOne:
         single = sample_unit_sphere(d, SeedSpec(seed, 9))
         batch = sample_unit_sphere_batch(d, 1, SeedSpec(seed, 9))[0]
         assert single.indices is None and batch.indices is None
-        assert single.values.tobytes() == batch.values.tobytes()
-
-    @pytest.mark.parametrize("d,t,seed", [(1, 1, 0), (40, 7, 10), (300, 9, 0), (10000, 5, 7), (10000, 1000, 0)])
-    def test_sparse_unit(self, d, t, seed):
-        single = sample_sparse_unit(d, t, SeedSpec(seed, 9))
-        batch = sample_sparse_unit_batch(d, t, 1, SeedSpec(seed, 9))[0]
-        assert np.array_equal(single.indices, batch.indices)
         assert single.values.tobytes() == batch.values.tobytes()
 
 
@@ -188,13 +174,13 @@ class TestInputVectorValidation:
     def test_generator_invariants(self, d, seed, data):
         """Any (d, t, seed): unit squared norm within 1e-12, sorted support."""
         t = data.draw(st.integers(min_value=1, max_value=d))
-        x = sample_sparse_unit(d, t, SeedSpec(seed, 0))
-        assert abs(x.sq_norm() - 1.0) <= 1e-12
-        assert x.indices.size == t
+        xs = sample_sparse_unit_batch(d, t, 1, SeedSpec(seed, 0))
+        assert abs(xs.norms[0] ** 2 - 1.0) <= 1e-12
+        assert xs[0].indices.size == t
         if t > 1:
-            assert np.all(np.diff(x.indices) > 0)
-        y = sample_unit_sphere(d, SeedSpec(seed, 1))
-        assert abs(y.sq_norm() - 1.0) <= 1e-12
+            assert np.all(np.diff(xs[0].indices) > 0)
+        ys = sample_unit_sphere_batch(d, 1, SeedSpec(seed, 1))
+        assert abs(ys.norms[0] ** 2 - 1.0) <= 1e-12
 
 
 class TestInputBatch:

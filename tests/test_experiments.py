@@ -93,10 +93,23 @@ class TestRequiredK:
         if e1 <= e2:
             assert required_k(5, e1) >= required_k(5, e2)
 
-    @pytest.mark.parametrize("n,eps", [(1, 0.5), (5, 0.0), (5, 1.0)])
+    @pytest.mark.parametrize("n,eps", [(1, 0.5), (5, 0.0), (5, 1.0), (5, 1e-200), (5, 1e-160)])
     def test_domain(self, n, eps):
         with pytest.raises(ValueError):
             required_k(n, eps)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lo", "hi", "tail_lo", "tail_hi"])
+    def test_infinite_bound_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(**{field: value})
+
+    def test_overflowing_span_rejected(self):
+        """Finite bounds whose span overflows would give a nan grid."""
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(lo=-1e308, hi=1e308)
 
 
 class TestSparsitySweep:
