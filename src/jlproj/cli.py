@@ -2,17 +2,22 @@
 
 Subcommands: sweep-s, sweep-t, sweep-k, cdf, verify, required-k.  Every
 experiment subcommand writes its CSV to --out plus a JSON run manifest
-(config, seed, version, start time) next to it; the directory of --out
-must exist and --out must not be a directory, both checked before any
+(config, seed, version, start time) to <out>.manifest.json, and cdf also
+writes <out>.tail.csv; the directory of --out must exist and each of
+these files must be absent or a regular file, all checked before any
 sampling.  Exit codes: 0 on success, 1 when `verify` finds failing
 checks, 2 on invalid arguments (including a missing output directory,
 an empty --probes, an infinite cdf grid or tail bound, and a swept axis
 that is empty or repeats a value, each checked before any sampling), 3
 when an input block, a cell's delta block, any cell's transform or a cdf
 grid would exceed the memory budget (also checked before any sampling)
-or an output cannot be written (including --out naming an existing
-directory).  Outputs are written to a temp file and renamed into place.
-Errors print one `error: ...` line on stderr.
+or an output cannot be written (including an output path naming a
+directory, FIFO or other file that is not a regular file).  Outputs are
+written to a temp file and renamed into place.  Errors print one
+`error: ...` line on stderr.  A negative value with an exponent needs
+the `=` form, `--grid-min=-1e-3`: argparse's negative-number pattern has
+no exponent, so in `--grid-min -1e-3` it reads `-1e-3` as an option and
+exits 2.
 
 The JL_THREADS environment variable sets how many threads run experiment
 cells (unset means 1).  It is read once, before anything else runs; a
@@ -72,86 +77,86 @@ def _worker_count() -> int:
     return workers
 
 
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+def _experiment_parser(sub, command: str, help: str, axis: str | None) -> argparse.ArgumentParser:
+    """Subparser with the scale flags and --k, --s, --t; the swept `axis`
+    takes a comma list, the others default to ExperimentConfig's."""
+    parser = sub.add_parser(command, help=help)
     parser.add_argument("--n", type=int, help="input vectors per experiment")
     parser.add_argument("--d", type=int, help="ambient dimension")
     parser.add_argument("--trials", type=int, help="independent transform instances")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--probes", type=_float_list, default=[0.5, 0.99], help="quantile probes")
+    parser.add_argument("--probes", type=_float_list, default=ExperimentConfig.probes, help="quantile probes")
     parser.add_argument(
         "--paper-scale",
         action="store_true",
         help=f"use n={PAPER_SCALE['n']}, d={PAPER_SCALE['d']}, trials={PAPER_SCALE['trials']} defaults",
     )
     parser.add_argument("--out", required=True, help="CSV output path")
+    for name in ("k", "s", "t"):
+        if name == axis:
+            parser.add_argument(f"--{name}", type=_int_list, default=None, help=f"comma list of {name} values")
+        else:
+            parser.add_argument(f"--{name}", type=int, default=getattr(ExperimentConfig, name))
+    return parser
 
 
-def _build_config(args, *, k: int, s: int, t: int) -> ExperimentConfig:
+def _build_config(args, **sizes) -> ExperimentConfig:
+    """The run's config; `sizes` overrides the --k, --s or --t a sweep varies."""
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    constructions = tuple(getattr(args, "constructions", None) or ("Dense", "Ach", "Sparse"))
     return ExperimentConfig(
         n=args.n if args.n is not None else scale["n"],
         d=args.d if args.d is not None else scale["d"],
-        k=k,
-        s=s,
-        t=t,
         trials=args.trials if args.trials is not None else scale["trials"],
         master_seed=args.seed,
-        constructions=constructions,
+        constructions=tuple(getattr(args, "constructions", None) or ExperimentConfig.constructions),
         probes=tuple(args.probes),
+        **{"k": args.k, "s": args.s, "t": args.t, **sizes},
     )
 
 
-def _write_sweep(args, cfg: ExperimentConfig, result, started_at: str) -> None:
-    out = Path(args.out)
+def _output_paths(out: str, *suffixes: str) -> list[Path]:
+    """--out, then <out> with each suffix: every file a subcommand writes.
+
+    Checked before any draw: the directory must exist (exit 2), and each
+    path must be absent or a regular file (exit 3), so a directory, FIFO
+    or device file is never renamed over.  --out is checked before its
+    siblings are named, since "." or "/" has no name to put a suffix on.
+    """
+
+    def regular(path: Path) -> Path:
+        if path.exists() and not path.is_file():
+            raise OSError(f"--out {out}: {path.name or path} exists and is not a regular file")
+        return path
+
+    first = Path(out)
+    if not first.parent.is_dir():
+        raise ValueError(f"output directory {first.parent} is not an existing directory")
+    return [regular(first), *(regular(first.with_suffix(suffix)) for suffix in suffixes)]
+
+
+def _write_sweep(paths: list[Path], cfg: ExperimentConfig, result, started_at: str) -> None:
+    out, manifest = paths
     write_sweep_csv(result, out)
     extra = {"axis": {"name": result.axis_name, "values": list(result.axis_values)}}
-    write_manifest(out.with_suffix(".manifest.json"), cfg, started_at, extra)
+    write_manifest(manifest, cfg, started_at, extra)
 
 
-def _write_cdf(args, cfg: ExperimentConfig, result, started_at: str, grid: GridSpec) -> None:
-    out = Path(args.out)
-    write_cdf_csv(result, out)
-    write_tail_csv(result, out.with_suffix(".tail.csv"))
-    extra = {"grid": dataclasses.asdict(grid)}
-    write_manifest(out.with_suffix(".manifest.json"), cfg, started_at, extra)
+# cdf's grid flags, in the order of the GridSpec fields they set.
+_GRID_FLAGS = ("--grid-min", "--grid-max", "--grid-points", "--tail-min", "--tail-max", "--tail-points")
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jlproj", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-s", help="distortion quantiles vs column sparsity")
-    _add_scale_args(p)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--s", type=_int_list, default=None, help="comma list of s values")
-    p.add_argument("--t", type=int, default=5)
-
-    p = sub.add_parser("sweep-t", help="distortion quantiles vs input sparsity")
-    _add_scale_args(p)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--s", type=int, default=16)
-    p.add_argument("--t", type=_int_list, default=None, help="comma list of t values")
-
-    p = sub.add_parser("sweep-k", help="absolute distortion quantiles vs target dimension")
-    _add_scale_args(p)
-    p.add_argument("--k", type=_int_list, default=None, help="comma list of k values")
-    p.add_argument("--s", type=int, default=16)
-    p.add_argument("--t", type=int, default=5)
+    _experiment_parser(sub, "sweep-s", "distortion quantiles vs column sparsity", axis="s")
+    _experiment_parser(sub, "sweep-t", "distortion quantiles vs input sparsity", axis="t")
+    p = _experiment_parser(sub, "sweep-k", "absolute distortion quantiles vs target dimension", axis="k")
     p.add_argument("--constructions", type=lambda v: v.split(","), default=None)
-
-    p = sub.add_parser("cdf", help="pooled distortion CDF per construction")
-    _add_scale_args(p)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--s", type=int, default=16)
-    p.add_argument("--t", type=int, default=5)
+    p = _experiment_parser(sub, "cdf", "pooled distortion CDF per construction", axis=None)
     p.add_argument("--constructions", type=lambda v: v.split(","), default=None)
-    p.add_argument("--grid-min", type=float, default=-1.0)
-    p.add_argument("--grid-max", type=float, default=1.0)
-    p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--tail-min", type=float, default=1e-4)
-    p.add_argument("--tail-max", type=float, default=1.0)
-    p.add_argument("--tail-points", type=int, default=17)
+    for flag, field in zip(_GRID_FLAGS, dataclasses.fields(GridSpec)):
+        p.add_argument(flag, type=type(field.default), default=field.default)
 
     p = sub.add_parser("verify", help="run the empirical bound checks")
     p.add_argument("--seed", type=int, default=0)
@@ -174,38 +179,32 @@ def cli_main(argv=None) -> int:
     started_at = datetime.now(timezone.utc).isoformat()
     try:
         workers = _worker_count()
-        out = getattr(args, "out", None)
-        if out is not None and not Path(out).parent.is_dir():
-            raise ValueError(f"output directory {Path(out).parent} is not an existing directory")
-        if out is not None and Path(out).is_dir():
-            raise IsADirectoryError(f"--out {out} is an existing directory, not a file path")
         if args.command == "sweep-s":
-            cfg = _build_config(args, k=args.k, s=1, t=args.t)
+            paths = _output_paths(args.out, ".manifest.json")
+            cfg = _build_config(args, s=1)
             s_values = args.s if args.s is not None else [s for s in DEFAULT_S_GRID if s <= cfg.k]
             result = run_sparsity_sweep(cfg, s_values, workers)
-            _write_sweep(args, cfg, result, started_at)
+            _write_sweep(paths, cfg, result, started_at)
         elif args.command == "sweep-t":
-            cfg = _build_config(args, k=args.k, s=args.s, t=1)
+            paths = _output_paths(args.out, ".manifest.json")
+            cfg = _build_config(args, t=1)
             t_values = args.t if args.t is not None else [t for t in DEFAULT_T_GRID if t <= cfg.d]
             result = run_input_sparsity_sweep(cfg, t_values, workers)
-            _write_sweep(args, cfg, result, started_at)
+            _write_sweep(paths, cfg, result, started_at)
         elif args.command == "sweep-k":
+            paths = _output_paths(args.out, ".manifest.json")
             k_values = args.k if args.k is not None else [k for k in DEFAULT_K_GRID if k >= args.s]
-            cfg = _build_config(args, k=max([*k_values, args.s]), s=args.s, t=args.t)
+            cfg = _build_config(args, k=max([*k_values, args.s]))
             result = run_k_sweep(cfg, k_values, workers)
-            _write_sweep(args, cfg, result, started_at)
+            _write_sweep(paths, cfg, result, started_at)
         elif args.command == "cdf":
-            cfg = _build_config(args, k=args.k, s=args.s, t=args.t)
-            grid = GridSpec(
-                lo=args.grid_min,
-                hi=args.grid_max,
-                points=args.grid_points,
-                tail_lo=args.tail_min,
-                tail_hi=args.tail_max,
-                tail_points=args.tail_points,
-            )
+            out, manifest, tail = _output_paths(args.out, ".manifest.json", ".tail.csv")
+            cfg = _build_config(args)
+            grid = GridSpec(*(getattr(args, flag[2:].replace("-", "_")) for flag in _GRID_FLAGS))
             result = run_cdf(cfg, grid, workers)
-            _write_cdf(args, cfg, result, started_at, grid)
+            write_cdf_csv(result, out)
+            write_tail_csv(result, tail)
+            write_manifest(manifest, cfg, started_at, {"grid": dataclasses.asdict(grid)})
         elif args.command == "verify":
             checks = run_verification(args.seed, trials=args.trials, pair_samples=args.pairs)
             for check in checks:

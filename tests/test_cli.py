@@ -1,11 +1,19 @@
 """Tests for the command-line interface contract."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jlproj.cli import cli_main
 from jlproj.experiments import required_k
@@ -399,3 +407,162 @@ def test_failed_write_leaves_no_partial_output(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+@pytest.mark.parametrize("command,sibling", [("sweep-s", "x.manifest.json"), ("cdf", "x.tail.csv")])
+def test_sibling_output_that_is_a_directory_exits_three_before_sampling(
+    command, sibling, tmp_path, capsys, monkeypatch
+):
+    """The manifest and tail files are checked with --out, before any draw."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    (tmp_path / sibling).mkdir()
+    assert cli_main([command, *_SMALL, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [sibling]
+
+
+@pytest.mark.parametrize(
+    "command,fifo",
+    [("sweep-s", "x.csv"), ("sweep-t", "x.csv"), ("sweep-k", "x.manifest.json"), ("cdf", "x.tail.csv")],
+)
+def test_output_that_is_a_fifo_exits_three_before_sampling(command, fifo, tmp_path, capsys, monkeypatch):
+    """An output path must be absent or a regular file: a FIFO is not renamed over."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    os.mkfifo(tmp_path / fifo)
+    assert cli_main([command, *_SMALL, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert stat.S_ISFIFO(os.lstat(tmp_path / fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == [fifo]
+
+
+def test_out_symlink_to_a_regular_file_is_allowed(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    out = tmp_path / "x.csv"
+    out.symlink_to(target)
+    assert cli_main(["sweep-s", *_SMALL, "--out", str(out)]) == 0
+    assert out.read_text().startswith("construction,input_family,s,")
+
+
+# Property test of the exit contract: any argv at tiny sizes (d <= 50,
+# n <= 20, trials <= 2) exits 0-3 without a traceback.  verify runs its
+# moment checks at >= 4000 trials whatever --trials is (about 1.5 s), so
+# it gets two examples.
+_EXAMPLES = {"sweep-s": 25, "sweep-t": 25, "sweep-k": 25, "cdf": 25, "verify": 2, "required-k": 50}
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ABSENT = st.none()
+# (--out, a path made before the run, how it is made)
+_GOOD_OUTS = [("x.csv", None, None), ("x", None, None)]
+_BAD_OUTS = [
+    ("missing/x.csv", None, None),
+    ("x.csv", "x.csv", os.mkdir),
+    ("x.csv", "x.csv", os.mkfifo),
+    ("x.csv", "x.manifest.json", os.mkdir),
+    ("x.csv", "x.tail.csv", os.mkfifo),
+]
+
+
+def _comma_list(elements, **bounds):
+    return st.lists(elements, max_size=4, **bounds).map(lambda values: ",".join(map(str, values)))
+
+
+def _flags(command):
+    """(flag, valid values, any values) per flag; a None value leaves the flag out."""
+    if command == "verify":
+        return [
+            ("--seed", st.integers(0, 3), st.integers(-2, 3)),
+            ("--trials", st.integers(1, 2), st.integers(-2, 2)),
+            ("--pairs", st.integers(2, 100), st.integers(-2, 100)),
+        ]
+    if command == "required-k":
+        return [
+            ("--n", st.integers(2, 10**9), st.integers(-2, 10**9)),
+            ("--eps", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _ANY_FLOAT),
+        ]
+    axis = command[-1] if command.startswith("sweep-") else None
+    size = st.integers(1, 60)
+    flags = [
+        ("--n", st.integers(1, 20), st.integers(-2, 20)),
+        ("--d", st.integers(1, 50), st.integers(-2, 50)),
+        ("--trials", st.integers(1, 2), st.integers(-2, 2)),
+        *(
+            (f"--{name}", _ABSENT | _comma_list(size, min_size=1, unique=True), _comma_list(st.integers(-2, 60)))
+            if name == axis
+            else (f"--{name}", _ABSENT | size, st.integers(-2, 60))
+            for name in ("k", "s", "t")
+        ),
+        ("--seed", _ABSENT | st.integers(0, 2**64 - 1), st.integers(-(2**64), 2**65)),
+        (
+            "--probes",
+            _ABSENT | _comma_list(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, unique=True),
+            _comma_list(_ANY_FLOAT),
+        ),
+    ]
+    if command in ("sweep-k", "cdf"):
+        kinds = _comma_list(st.sampled_from(["Dense", "Ach", "Sparse"]), min_size=1, unique=True)
+        flags.append(("--constructions", _ABSENT | kinds, _comma_list(st.sampled_from(["Dense", "Gauss", ""]))))
+    if command == "cdf":
+        flags += [(flag, _ABSENT | st.floats(-2.0, 2.0), _ANY_FLOAT) for flag in ("--grid-min", "--grid-max")]
+        flags += [(flag, _ABSENT | st.floats(1e-6, 2.0), _ANY_FLOAT) for flag in ("--tail-min", "--tail-max")]
+        points = st.integers(-2, 300) | st.just(10**11)
+        flags += [(flag, _ABSENT | st.integers(2, 300), points) for flag in ("--grid-points", "--tail-points")]
+    return flags
+
+
+@st.composite
+def _run(draw, command):
+    """argv, --out and JL_THREADS for one run; each value is valid nine times in ten."""
+    argv = [command]
+    for flag, valid, wild in _flags(command):
+        value = draw(wild if draw(st.integers(0, 9)) == 9 else valid)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out = draw(st.sampled_from(_BAD_OUTS if draw(st.integers(0, 9)) == 9 else _GOOD_OUTS))
+    return argv, out, draw(st.sampled_from([None, "1", "2"]))
+
+
+@pytest.mark.parametrize("command", list(_EXAMPLES))
+def test_exit_contract(command):
+    """Exit code in {0, 1, 2, 3}; no traceback; exactly one `error:` line
+    on stderr unless the exit is 0 or 1; on exit 0 every float in the CSVs
+    is finite."""
+
+    @settings(max_examples=_EXAMPLES[command], derandomize=True, deadline=None)
+    @given(_run(command))
+    def check(run):
+        argv, (name, made, make), threads = run
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            if made is not None:
+                make(os.path.join(tmp, made))
+            if command not in ("verify", "required-k"):
+                argv = [*argv, "--out", os.path.join(tmp, name)]
+            if threads is None:
+                mp.delenv("JL_THREADS", raising=False)
+            else:
+                mp.setenv("JL_THREADS", threads)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(argv)
+            err = stderr.getvalue()
+            assert code in (0, 1, 2, 3), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)
+            if code not in (0, 1):
+                assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+            if code == 0:
+                for csv in filter(Path.is_file, Path(tmp).glob("*.csv")):
+                    for field in csv.read_text().replace("\n", ",").split(","):
+                        try:
+                            value = float(field)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(value), (argv, csv.name, field)
+
+    check()
