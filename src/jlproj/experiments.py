@@ -7,7 +7,7 @@ derived off the config's master seed:
 
     vector batch b     -> stream VECTOR_ROLE  | b
     cell c, trial i    -> stream TRANSFORM_ROLE | c << 32 | i
-    verification check -> stream VERIFY_ROLE | check << 32 (+ offsets inside)
+    verify table row r -> stream VERIFY_ROLE | r << 32 (+ offsets inside)
 
 Cells (construction x input family x axis value) are enumerated in a fixed
 order and may execute on a pool of ``workers`` threads; aggregation happens
@@ -376,87 +376,90 @@ def required_k(n: int, epsilon: float) -> int:
 # Verification suite (surfaced by the `verify` CLI subcommand)
 # ---------------------------------------------------------------------------
 
+# Each check takes its SeedSpec and returns (passed, detail).  They look the
+# stats functions up by their names in this module when they run, because
+# perfbench/spans.py traces them there.
 
-def _verify_seed(master_seed: int, check: int) -> SeedSpec:
-    return SeedSpec(master_seed, _VERIFY_ROLE | (check << 32))
+
+def _tail(kind: ConstructionKind, k: int, trials: int, seed: SeedSpec) -> tuple[bool, str]:
+    report = tail_bound_report(kind, k, 500, 0.5, trials, seed)
+    slack = 4.0 * math.sqrt(report.bound * (1.0 - report.bound) / trials)
+    rate = report.empirical_failure_rate
+    return rate <= report.bound + slack, f"rate={rate:.6g} bound={report.bound:.6g} n={trials}"
+
+
+def _fourth_moment(kind: ConstructionKind, trials: int, seed: SeedSpec) -> tuple[bool, str]:
+    """The Gaussian moment is exactly 3; the discrete ones sit at or below it."""
+    report = fourth_moment_check(kind, 500, trials, seed)
+    est, se = report.estimate, report.std_error
+    ok = abs(est - 3.0) <= 4.0 * se if isinstance(kind, DenseGaussian) else est <= 3.0 + 4.0 * se
+    return ok, f"estimate={est:.6g} se={se:.3g}"
+
+
+def _collision_variance(k: int, s: int) -> float:
+    """Var of Hypergeometric(k, s, s), the per-pair collision law: s (s/k) ((k-s)/k) ((k-s)/(k-1))."""
+    return s * (s / k) * ((k - s) / k) * ((k - s) / (k - 1))
+
+
+def _collision_mean(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
+    """The SE is the law's, not the sample's: a sample SE is 0 when every pair's count is equal."""
+    mean = sample_collision_counts(50, 16, pairs, seed).mean()
+    expected = 16 * 16 / 50
+    se = math.sqrt(_collision_variance(50, 16) / pairs)
+    return abs(mean - expected) <= 4.0 * se, f"mean={mean:.4f} expected={expected} se={se:.3g}"
+
+
+def _collision_distribution(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
+    observed = np.bincount(sample_collision_counts(4, 2, pairs, seed), minlength=3)
+    statistic, critical, ok = chi_square_gof(observed, [1 / 6, 2 / 3, 1 / 6])
+    return ok, f"chi2={statistic:.3f} critical={critical:.3f}"
+
+
+def _collision_tail(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
+    report = collision_tail_check(50, 16, pairs, seed)
+    se = math.sqrt(report.exact_tail * (1.0 - report.exact_tail) / pairs)
+    ok = abs(report.empirical_exceedance - report.exact_tail) <= 4.0 * se
+    return ok, f"empirical={report.empirical_exceedance:.6g} exact={report.exact_tail:.6g}"
+
+
+def _gaussian_variance(trials: int, seed: SeedSpec) -> tuple[bool, str]:
+    report = gaussian_variance_check(50, 200, trials, seed)
+    sample, expected = report.sample_variance, report.expected_variance
+    return abs(sample - expected) / expected <= 0.15, f"sample={sample:.6g} expected={expected:.6g}"
+
+
+def _hypergeometric_normalization(seed: SeedSpec) -> tuple[bool, str]:
+    """Draws nothing: the Hypergeometric(500, 37, 37) pmf sums to 1, with mean 37^2/500."""
+    total = sum(hypergeometric_pmf(500, 37, 37, x) for x in range(38))
+    mean = sum(x * hypergeometric_pmf(500, 37, 37, x) for x in range(38))
+    return abs(total - 1.0) <= 1e-12 and abs(mean - 37 * 37 / 500) <= 1e-10, f"sum={total!r} mean={mean!r}"
 
 
 def run_verification(master_seed: int = 0, trials: int = 2000, pair_samples: int = 100_000) -> list[CheckResult]:
-    """Empirical bound checks for all constructions; every check is seeded."""
+    """Empirical bound checks for all constructions, run as one table in
+    order; check i draws from stream VERIFY_ROLE | i << 32 of ``master_seed``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if pair_samples < 2:
         raise ValueError(f"pair_samples must be >= 2, got {pair_samples}")
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
-
-    tails = [
-        ("gaussian-tail", DenseGaussian(), 50),
-        ("rademacher-tail", Rademacher(), 200),
-        ("achlioptas-tail", AchlioptasSparse(), 200),
+    moment_trials = max(trials, 4000)
+    table = [
+        ("gaussian-tail", partial(_tail, DenseGaussian(), 50, trials)),
+        ("rademacher-tail", partial(_tail, Rademacher(), 200, trials)),
+        ("achlioptas-tail", partial(_tail, AchlioptasSparse(), 200, trials)),
+        ("gaussian-fourth-moment", partial(_fourth_moment, DenseGaussian(), moment_trials)),
+        ("rademacher-fourth-moment", partial(_fourth_moment, Rademacher(), moment_trials)),
+        ("achlioptas-fourth-moment", partial(_fourth_moment, AchlioptasSparse(), moment_trials)),
+        ("collision-mean", partial(_collision_mean, pair_samples)),
+        ("collision-distribution", partial(_collision_distribution, pair_samples)),
+        ("collision-tail", partial(_collision_tail, pair_samples)),
+        ("gaussian-variance", partial(_gaussian_variance, moment_trials)),
+        ("hypergeometric-normalization", _hypergeometric_normalization),
     ]
-    for ci, (name, kind, k) in enumerate(tails):
-        report = tail_bound_report(kind, k, 500, 0.5, trials, _verify_seed(master_seed, ci))
-        slack = 4.0 * math.sqrt(report.bound * (1.0 - report.bound) / trials)
-        add(
-            name,
-            report.empirical_failure_rate <= report.bound + slack,
-            f"rate={report.empirical_failure_rate:.6g} bound={report.bound:.6g} n={trials}",
-        )
-
-    moments = [
-        ("gaussian-fourth-moment", DenseGaussian()),
-        ("rademacher-fourth-moment", Rademacher()),
-        ("achlioptas-fourth-moment", AchlioptasSparse()),
-    ]
-    for ci, (name, kind) in enumerate(moments, start=3):
-        report = fourth_moment_check(kind, 500, max(trials, 4000), _verify_seed(master_seed, ci))
-        if isinstance(kind, DenseGaussian):
-            ok = abs(report.estimate - 3.0) <= 4.0 * report.std_error
-        else:
-            ok = report.estimate <= 3.0 + 4.0 * report.std_error
-        add(name, ok, f"estimate={report.estimate:.6g} se={report.std_error:.3g}")
-
-    counts = sample_collision_counts(50, 16, pair_samples, _verify_seed(master_seed, 6))
-    expected_mean = 16 * 16 / 50
-    se = counts.std(ddof=1) / math.sqrt(pair_samples)
-    add(
-        "collision-mean",
-        abs(counts.mean() - expected_mean) <= 4.0 * se,
-        f"mean={counts.mean():.4f} expected={expected_mean} se={se:.3g}",
-    )
-
-    small = sample_collision_counts(4, 2, pair_samples, _verify_seed(master_seed, 7))
-    observed = np.bincount(small, minlength=3)
-    statistic, critical, ok = chi_square_gof(observed, [1 / 6, 2 / 3, 1 / 6])
-    add("collision-distribution", ok, f"chi2={statistic:.3f} critical={critical:.3f}")
-
-    report = collision_tail_check(50, 16, pair_samples, _verify_seed(master_seed, 8))
-    se = math.sqrt(report.exact_tail * (1.0 - report.exact_tail) / pair_samples)
-    add(
-        "collision-tail",
-        abs(report.empirical_exceedance - report.exact_tail) <= 4.0 * se,
-        f"empirical={report.empirical_exceedance:.6g} exact={report.exact_tail:.6g}",
-    )
-
-    var_report = gaussian_variance_check(50, 200, max(trials, 4000), _verify_seed(master_seed, 9))
-    rel = abs(var_report.sample_variance - var_report.expected_variance) / var_report.expected_variance
-    add(
-        "gaussian-variance",
-        rel <= 0.15,
-        f"sample={var_report.sample_variance:.6g} expected={var_report.expected_variance:.6g}",
-    )
-
-    total = sum(hypergeometric_pmf(500, 37, 37, x) for x in range(38))
-    mean = sum(x * hypergeometric_pmf(500, 37, 37, x) for x in range(38))
-    add(
-        "hypergeometric-normalization",
-        abs(total - 1.0) <= 1e-12 and abs(mean - 37 * 37 / 500) <= 1e-10,
-        f"sum={total!r} mean={mean!r}",
-    )
-
+    checks = []
+    for row, (name, check) in enumerate(table):
+        passed, detail = check(SeedSpec(master_seed, _VERIFY_ROLE | row << 32))
+        checks.append(CheckResult(name, bool(passed), detail))
     return checks
 
 

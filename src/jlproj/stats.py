@@ -45,20 +45,15 @@ from .core import sample_unit_sphere  # noqa: F401
 class TailReport:
     """Empirical norm-deviation failure rate next to its theoretical bound."""
 
-    epsilon: float
     empirical_failure_rate: float
     bound: float
     n: int
-    kind: ConstructionKind
-    k: int
 
 
 @dataclass(frozen=True)
 class CollisionTailReport:
     """Observed exceedance of the 2s^2/k collision threshold vs the exact tail."""
 
-    k: int
-    s: int
     num_pairs: int
     threshold: float
     empirical_exceedance: float
@@ -69,20 +64,16 @@ class CollisionTailReport:
 class FourthMomentReport:
     """Normalized fourth-moment estimate E[(R_j v)^4] on the all-equal vector."""
 
-    kind: ConstructionKind
     estimate: float
     std_error: float
-    trials: int
 
 
 @dataclass(frozen=True)
 class VarianceReport:
     """Sample variance of |Rv|^2 against the chi-squared value 2/k."""
 
-    k: int
     sample_variance: float
     expected_variance: float
-    trials: int
 
 
 def quantile(samples, p: float) -> float:
@@ -168,8 +159,6 @@ def collision_tail_check(k: int, s: int, num_pairs: int, seed: SeedSpec) -> Coll
     threshold = 2.0 * s * s / k
     exact = sum(hypergeometric_pmf(k, s, s, x) for x in range(int(threshold) + 1, s + 1))
     return CollisionTailReport(
-        k=k,
-        s=s,
         num_pairs=num_pairs,
         threshold=threshold,
         empirical_exceedance=float(np.mean(counts > threshold)),
@@ -224,14 +213,7 @@ def tail_bound_report(
         del transform  # freed before the next trial draws its own
     denom = 8.0 if isinstance(kind, DenseGaussian) else 12.0
     bound = 2.0 * math.exp(-k * epsilon * epsilon / denom)
-    return TailReport(
-        epsilon=epsilon,
-        empirical_failure_rate=failures / trials,
-        bound=bound,
-        n=trials,
-        kind=kind,
-        k=k,
-    )
+    return TailReport(empirical_failure_rate=failures / trials, bound=bound, n=trials)
 
 
 _ROW_BATCH = 1024
@@ -264,7 +246,7 @@ def fourth_moment_check(
         batch_index += 1
     estimate = float(samples.mean())
     std_error = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return FourthMomentReport(kind=kind, estimate=estimate, std_error=std_error, trials=trials)
+    return FourthMomentReport(estimate=estimate, std_error=std_error)
 
 
 def gaussian_variance_check(k: int, d: int, trials: int, seed: SeedSpec) -> VarianceReport:
@@ -281,12 +263,7 @@ def gaussian_variance_check(k: int, d: int, trials: int, seed: SeedSpec) -> Vari
         transform = sample_transform(DenseGaussian(), k, d, seed.stream(seed.stream_id + 1 + i))
         sq_norms[i] = distortion_batch(transform, probe)[0] + 1.0
         del transform  # freed before the next trial draws its own
-    return VarianceReport(
-        k=k,
-        sample_variance=float(sq_norms.var(ddof=1)),
-        expected_variance=2.0 / k,
-        trials=trials,
-    )
+    return VarianceReport(sample_variance=float(sq_norms.var(ddof=1)), expected_variance=2.0 / k)
 
 
 def chi_square_gof(observed_counts, expected_probs, alpha: float = 0.001):

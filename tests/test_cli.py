@@ -92,12 +92,21 @@ def test_required_k_tiny_eps_exits_two(eps, capsys):
 
 
 def test_verify_passes(capsys):
+    """Every check passes, and the report is pinned byte for byte."""
     code = cli_main(["verify", "--seed", "3", "--trials", "200", "--pairs", "20000"])
     out = capsys.readouterr().out
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert all(line.startswith("PASS") for line in lines)
-    assert len(lines) >= 10
+    assert len(lines) == 11
+    assert out == (Path(__file__).parent / "data" / "verify_seed3_stdout.txt").read_text()
+
+
+def test_verify_two_pairs_passes(capsys):
+    """Two pairs with equal collision counts have sample SE 0; collision-mean
+    takes the law's SE, so the smallest accepted sample still passes."""
+    assert cli_main(["verify", "--seed", "0", "--trials", "1", "--pairs", "2"]) == 0
+    assert "PASS collision-mean: " in capsys.readouterr().out
 
 
 def test_verify_lists_failed_checks(capsys, monkeypatch):

@@ -29,7 +29,7 @@ from jlproj.experiments import (
     write_tail_csv,
     _cell_deltas,
 )
-from jlproj.stats import quantile
+from jlproj.stats import hypergeometric_pmf, quantile
 
 SMALL = dict(n=150, d=300, k=30, s=8, t=4, trials=4, master_seed=99)
 
@@ -340,6 +340,13 @@ class TestVerification:
         assert len(names) == len(set(names))
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.detail}" for c in failed]
+
+    def test_collision_variance_is_the_hypergeometric_law(self):
+        """collision-mean's SE comes from Var of Hypergeometric(50, 16, 16)."""
+        mu = 16 * 16 / 50
+        law = sum((x - mu) ** 2 * hypergeometric_pmf(50, 16, 16, x) for x in range(17))
+        assert experiments._collision_variance(50, 16) == pytest.approx(law, rel=1e-12)
+        assert experiments._collision_variance(50, 16) == pytest.approx(2.41580, abs=1e-5)
 
 
 class TestWriters:
