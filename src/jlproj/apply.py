@@ -3,23 +3,30 @@
 An :class:`~jlproj.core.InputBatch` is cut into chunks of consecutive rows,
 each capped by a fixed scratch budget.  A chunk is a row slice ``X`` of the
 batch (a view of the dense ``(c, d)`` block, or a CSR matrix built from the
-slice's values and indices) and is projected with one product
-``Y = X @ op``: ``op`` is ``entries.T`` for a dense transform, and for the
-graph construction the ``(d, k)`` CSR matrix of its ±1 signs, with the
-``1/sqrt(s)`` scale applied to ``Y`` afterwards.
+slice's values and indices).
 
-Sparse input, dense transform: ``op`` is the C-ordered ``(u, k)`` copy of
-the rows of ``entries.T`` in the batch's support (its ``u`` sorted distinct
-columns, cached on the batch), and each chunk's indices are remapped into
-it.  The remap is monotone, so each row still adds its terms in index
-order and every delta is bitwise that of the whole operator; a batch that
-uses all ``d`` columns multiplies the whole ``entries.T`` copy instead.
+A dense transform is projected in row blocks of at most
+``_SCRATCH_BYTES // (8 d)`` rows (:meth:`~jlproj.constructions.
+DenseTransform.row_blocks`): a sampled one is drawn a block at a time as
+it is projected, and the join of its blocks is the documented one-call
+draw, so no whole ``k x d`` transform is held; once its ``entries`` have
+been read the blocks are views of them.  For a dense batch the whole
+``(n, k)`` output is filled block by block, ``Y[:, a:b] = X @ block.T`` per
+chunk.  For a sparse batch the blocks' rows in the batch's support (its
+``u`` sorted distinct columns, cached on the batch) fill the C-ordered
+``(u, k)`` support operator ``op``, and each chunk is one product
+``Y = X @ op`` with its indices remapped into it.  The remap is monotone,
+so each row still adds its terms in index order and every delta is
+bitwise that of the whole operator; a batch that uses all ``d`` columns
+multiplies the whole ``(d, k)`` operator instead.  The graph construction
+multiplies each chunk by the ``(d, k)`` CSR matrix of its ±1 signs, with
+the ``1/sqrt(s)`` scale applied to ``Y`` afterwards.
 
 Accumulation order: for the graph construction each output coordinate adds
 its terms in CSR column order, i.e. in index order of the input's support,
 so results do not depend on the chunking and a sparse input and its
 densified copy agree bitwise.  For a dense transform the product is one
-BLAS call per chunk, whose summation order is the library's.
+BLAS call per chunk and block, whose summation order is the library's.
 
 Epilogue: each chunk's squared norms |y|^2 come from one batched
 ``(1, k) @ (k, 1)`` matmul over its rows, which runs the same dot kernel
@@ -36,16 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .constructions import SparseColumnLayout, Transform
+from .constructions import DenseTransform, SparseColumnLayout, Transform
 from .core import InputBatch, InputVector
 
 # Inputs handed to distortion_batch() may have been round-tripped
 # through files, so the unit-norm gate is looser than the generators' 1e-12.
 UNIT_NORM_TOL = 1e-9
 
-# Bytes of a chunk's input rows plus its output: at d = 10^4 a dense chunk
-# holds about 100 rows, so a paper-scale batch of 5000 never has its
-# output or a CSR copy held as one block.
+# Bytes of a chunk's input rows plus its output, and of one row block of a
+# dense transform: at d = 10^4 a dense chunk holds about 100 rows and a
+# block 104, so a paper-scale batch of 5000 never has a CSR copy, nor a
+# k = 400 transform, held as one block.
 _SCRATCH_BYTES = 1 << 23
 
 
@@ -56,41 +64,49 @@ class WorkCounter:
     entries_touched: int = 0
 
 
-def _operator(transform: Transform):
-    """Right operand ``op`` of ``Y = X @ op``, shape (d, k)."""
+def _block_rows(transform: DenseTransform) -> int:
+    """Rows per block of a dense transform: a block takes at most the scratch budget."""
+    return max(1, _SCRATCH_BYTES // (8 * transform.d))
+
+
+def _operator(transform: Transform, xs: InputBatch):
+    """Right operand ``op`` of ``Y = X @ op`` for a sparse batch or the
+    graph construction, and the sorted columns that its rows stand for
+    (None when they are all ``d``): the graph construction's (d, k) CSR
+    sign matrix, or a dense transform's C-ordered (u, k) support operator,
+    filled from its row blocks."""
     if isinstance(transform, SparseColumnLayout):
         d, s = transform.d, transform.s
         indptr = np.arange(0, d * s + 1, s)
-        return csr_array((transform.signs.ravel(), transform.rows.ravel(), indptr), shape=(d, transform.k))
-    return transform.entries.T
+        return csr_array((transform.signs.ravel(), transform.rows.ravel(), indptr), shape=(d, transform.k)), None
+    cols = xs.support
+    if len(cols) == transform.d:
+        cols = None
+    op = np.empty((transform.d if cols is None else len(cols), transform.k))
+    for a, block in transform.row_blocks(_block_rows(transform)):
+        op[:, a : a + len(block)] = block.T if cols is None else block[:, cols].T
+    return op, cols
 
 
-def _check_dimension(transform: Transform, xs: InputBatch) -> None:
-    if xs.dim != transform.d:
-        raise ValueError(f"input dimension {xs.dim} does not match the transform's d={transform.d}")
+def _dense_products(transform: DenseTransform, X: np.ndarray, rows: int):
+    """(start, Y) per chunk of ``rows`` rows of the dense block ``X``: the
+    whole (n, k) product is filled one transform block at a time,
+    ``Y[:, a:b] = X_chunk @ block.T``, then handed out in chunks."""
+    n = len(X)
+    Y = np.empty((n, transform.k))
+    for a, block in transform.row_blocks(_block_rows(transform)):
+        for start in range(0, n, rows):
+            Y[start : start + rows, a : a + len(block)] = X[start : start + rows] @ block.T
+    for start in range(0, n, rows):
+        yield start, Y[start : start + rows]
 
 
-def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
-    """(start, Y) per chunk of rows of ``xs``, whose dimension the caller
-    checked; Y is C-contiguous with Y[i] = R xs[start + i].
-
-    The products use only the columns of each input's support: nnz(x) * s
-    stored entries of the graph construction, k * nnz(x) of a dense
-    transform.  Sparse chunks of a dense transform multiply a C-ordered
-    copy of the rows of ``entries.T`` in the batch's support, made once
-    here: given the transposed view, scipy would copy it per chunk.
-    """
+def _chunk_products(transform: Transform, xs: InputBatch, rows: int):
+    """(start, Y) per chunk of ``rows`` rows of ``xs``, each one product
+    with the operator of :func:`_operator`."""
     graph = isinstance(transform, SparseColumnLayout)
-    op = _operator(transform)
-    cols = None
-    if xs.indices is not None and not graph:
-        cols = xs.support
-        if len(cols) == transform.d:
-            op, cols = np.ascontiguousarray(op), None
-        else:
-            op = op[cols]
+    op, cols = _operator(transform, xs)
     n, nnz = xs.values.shape
-    rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
     for start in range(0, n, rows):
         X = xs.values[start : start + rows]
         c = len(X)
@@ -105,8 +121,33 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
         Y = Y.toarray() if issparse(Y) else np.ascontiguousarray(Y)
         if graph:
             Y *= transform.scale
+        yield start, Y
+
+
+def _check_dimension(transform: Transform, xs: InputBatch) -> None:
+    if xs.dim != transform.d:
+        raise ValueError(f"input dimension {xs.dim} does not match the transform's d={transform.d}")
+
+
+def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
+    """(start, Y) per chunk of rows of ``xs``, whose dimension the caller
+    checked; Y is C-contiguous with Y[i] = R xs[start + i].
+
+    The products use only the columns of each input's support: nnz(x) * s
+    stored entries of the graph construction, k * nnz(x) of a dense
+    transform.  A dense transform is projected one row block at a time, so
+    it is drawn once per call and at most one of its blocks is held.
+    """
+    graph = isinstance(transform, SparseColumnLayout)
+    n, nnz = xs.values.shape
+    rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
+    if xs.indices is None and not graph:
+        products = _dense_products(transform, xs.values, rows)
+    else:
+        products = _chunk_products(transform, xs, rows)
+    for start, Y in products:
         if counter is not None:
-            counter.entries_touched += c * nnz * (transform.s if graph else transform.k)
+            counter.entries_touched += len(Y) * nnz * (transform.s if graph else transform.k)
         yield start, Y
 
 

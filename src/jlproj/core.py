@@ -31,7 +31,9 @@ Each transform family has one draw convention, documented in
 :func:`jlproj.constructions.sample_transform`: Rademacher signs are fair
 bits (k*d of them, bit 1 -> +1/sqrt(k)), Gaussian entries scaled normals
 and Achlioptas entries mapped ``integers(0, 6, dtype=uint8)`` bytes
-(0 -> +sqrt(3/k), 1 -> -sqrt(3/k), 2..5 -> 0).
+(0 -> +sqrt(3/k), 1 -> -sqrt(3/k), 2..5 -> 0).  A dense transform is
+drawn in row blocks as it is projected; the join of its blocks is this
+one-call convention, bit for bit.
 
 Each input family has one draw convention, defined by its batch sampler
 (:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a

@@ -54,6 +54,7 @@ from .stats import (
     fourth_moment_check,
     gaussian_variance_check,
     hypergeometric_pmf,
+    multinomial_exact_test,
     quantile,
     sample_collision_counts,
     tail_bound_report,
@@ -410,7 +411,12 @@ def _collision_mean(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
 
 
 def _collision_distribution(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
+    """Pearson's chi-squared at alpha = 0.001, or the exact multinomial test
+    at the same alpha when an expected count pairs/6 is below 5."""
     observed = np.bincount(sample_collision_counts(4, 2, pairs, seed), minlength=3)
+    if pairs < 30:
+        p_value, ok = multinomial_exact_test(observed, [1 / 6, 2 / 3, 1 / 6])
+        return ok, f"exact p={p_value:.4g} alpha=0.001"
     statistic, critical, ok = chi_square_gof(observed, [1 / 6, 2 / 3, 1 / 6])
     return ok, f"chi2={statistic:.3f} critical={critical:.3f}"
 

@@ -15,6 +15,7 @@ Acceptance convention: empirical rates are compared at 4 standard errors
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,3 +285,37 @@ def chi_square_gof(observed_counts, expected_probs, alpha: float = 0.001):
     statistic = float(((obs - expected) ** 2 / expected).sum())
     critical = float(2.0 * gammaincinv((obs.size - 1) / 2.0, 1.0 - alpha))
     return statistic, critical, statistic <= critical
+
+
+def multinomial_exact_test(observed_counts, expected_probs, alpha: float = 0.001):
+    """Exact multinomial goodness-of-fit: (p-value, passed at alpha).
+
+    The p-value is the probability, under the expected law with the
+    observed total N, of every count vector no more likely than the
+    observed one (within a relative 1e-7, so that ties in exact arithmetic
+    stay ties).  It sums over all C(N + m - 1, m - 1) count vectors of the
+    m categories, so it is meant for the small totals where an expected
+    count below 5 makes Pearson's chi-squared unreliable.
+    """
+    obs = np.asarray(observed_counts, dtype=np.int64)
+    probs = np.asarray(expected_probs, dtype=np.float64)
+    if obs.shape != probs.shape or obs.ndim != 1:
+        raise ValueError("observed counts and expected probabilities must align")
+    if (obs < 0).any() or not (probs > 0.0).all():
+        raise ValueError("need non-negative counts and positive probabilities")
+    total, m = int(obs.sum()), obs.size
+    log_probs = np.log(probs)
+
+    def log_pmf(counts) -> float:
+        return math.lgamma(total + 1) + sum(x * lp - math.lgamma(x + 1) for x, lp in zip(counts, log_probs))
+
+    cutoff = log_pmf(obs) + math.log1p(1e-7)
+    p_value = 0.0
+    # Count vectors of total N are the placements of m - 1 bars among N + m - 1 slots.
+    for bars in itertools.combinations(range(total + m - 1), m - 1):
+        edges = (-1, *bars, total + m - 1)
+        log_p = log_pmf([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+        if log_p <= cutoff:
+            p_value += math.exp(log_p)
+    p_value = min(p_value, 1.0)
+    return p_value, p_value >= alpha

@@ -463,8 +463,10 @@ class TestSupportOperator:
 
     def test_peak_is_the_support_not_the_operator(self):
         """k = 400 at d = 10^4 is a 32 MB operator; 500 x 5 inputs use at
-        most 2500 of its rows (8 MB)."""
+        most 2500 of its rows (8 MB).  The entries are read first, so the
+        whole operator is held and its blocks are views."""
         transform = sample_transform(DenseGaussian(), 400, 10_000, SeedSpec(82, 0))
+        transform.entries
         xs = sample_sparse_unit_batch(10_000, 5, 500, SeedSpec(82, 1))
         tracemalloc.start()
         try:
@@ -473,3 +475,76 @@ class TestSupportOperator:
         finally:
             tracemalloc.stop()
         assert peak <= 12 << 20
+
+
+class TestRowBlocks:
+    """A sampled dense transform is drawn in row blocks as it is projected."""
+
+    D = 200
+
+    @pytest.mark.parametrize(
+        "k,rows,sizes", [(13, 4, [4, 4, 5]), (13, 3, [3, 3, 3, 4]), (13, 5, [5, 5, 3]), (1, 4, [1])]
+    )
+    def test_block_sizes(self, k, rows, sizes):
+        """At most ``rows`` rows per block; a lone trailing row joins the block before it."""
+        transform = sample_transform(DenseGaussian(), k, self.D, SeedSpec(90, 0))
+        fresh = [(start, len(block)) for start, block in transform.row_blocks(rows)]
+        transform.entries
+        views = [(start, len(block)) for start, block in transform.row_blocks(rows)]
+        assert fresh == views == list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 13])
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_join_is_the_entries(self, kind, rows):
+        """The fresh blocks join, bit for bit, into the entries; k*d = 2600
+        is no multiple of 8 for the Rademacher bits of a block."""
+        fresh = sample_transform(kind, 13, self.D + 1, SeedSpec(91, 0))
+        blocks = [block.copy() for _, block in fresh.row_blocks(rows)]
+        entries = sample_transform(kind, 13, self.D + 1, SeedSpec(91, 0)).entries
+        assert np.array_equal(np.vstack(blocks), entries)
+
+    @pytest.mark.parametrize("rows", [3, 4, 5])
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense_input", "sparse_input"])
+    def test_fresh_transform_bitwise_its_entries(self, kind, sparse, rows, monkeypatch):
+        """Blocks of ``rows`` rows, one of them with the lone trailing row:
+        a fresh transform gives the deltas it gives once its entries are read."""
+        k = 13
+        monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * self.D)
+        assert apply_module._block_rows(sample_transform(kind, k, self.D, SeedSpec(92, 0))) == rows
+        if sparse:
+            xs = sample_sparse_unit_batch(self.D, 6, 40, SeedSpec(92, 1))
+        else:
+            xs = sample_unit_sphere_batch(self.D, 40, SeedSpec(92, 1))
+        fresh = distortion_batch(sample_transform(kind, k, self.D, SeedSpec(92, 0)), xs)
+        transform = sample_transform(kind, k, self.D, SeedSpec(92, 0))
+        transform.entries
+        assert np.array_equal(fresh, distortion_batch(transform, xs))
+        expected = [float(y @ y) - 1.0 for y in (transform.entries @ _densify(x) for x in xs)]
+        assert np.max(np.abs(fresh - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_projection_leaves_the_entries_undrawn(self, kind):
+        transform = sample_transform(kind, 13, self.D, SeedSpec(93, 0))
+        distortion_batch(transform, sample_unit_sphere_batch(self.D, 5, SeedSpec(93, 1)))
+        assert "entries" not in vars(transform)
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [(DenseGaussian(), 0), (AchlioptasSparse(), 400 * 10_000)],
+        ids=["DenseGaussian", "AchlioptasSparse"],
+    )
+    def test_peak_is_one_block(self, kind, extra):
+        """A fresh k = 400, d = 10^4 transform (32 MB) projected onto a small
+        dense batch holds one 104-row block (8.3 MB) at a time; Achlioptas
+        also holds its k*d byte draw."""
+        xs = sample_unit_sphere_batch(10_000, 20, SeedSpec(94, 1))
+        transform = sample_transform(kind, 400, 10_000, SeedSpec(94, 0))
+        tracemalloc.start()
+        try:
+            distortion_batch(transform, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 104 * 10_000 * 8
+        assert peak <= extra + block + (1 << 20)

@@ -129,7 +129,7 @@ class TestDenseKinds:
         k, d = 400, 10_000
         tracemalloc.start()
         try:
-            sample_transform(AchlioptasSparse(), k, d, SeedSpec(0, 0))
+            sample_transform(AchlioptasSparse(), k, d, SeedSpec(0, 0)).entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -151,6 +151,17 @@ class TestDenseKinds:
     def test_entries_must_match_shape(self):
         with pytest.raises(ValueError, match=r"shape \(3, 4\)"):
             DenseTransform(k=3, d=4, entries=np.zeros((4, 3)), kind=DenseGaussian())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_entries_must_be_finite(self, bad):
+        entries = np.zeros((3, 4))
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DenseTransform(k=3, d=4, entries=entries, kind=DenseGaussian())
+
+    def test_entries_or_seed_needed(self):
+        with pytest.raises(ValueError, match="seed"):
+            DenseTransform(k=3, d=4, entries=None, kind=DenseGaussian())
 
     def test_dense_entry_budget(self):
         with pytest.raises(ResourceLimitError):
@@ -255,6 +266,17 @@ class TestSerialization:
             assert isinstance(loaded, DenseTransform)
             assert loaded.kind == original.kind
             assert np.array_equal(loaded.entries, original.entries)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_rejected(self, bad, tmp_path):
+        """A dense file with a NaN or infinite entry fails to load, naming the file."""
+        path = tmp_path / "d.bin"
+        save_transform(sample_transform(DenseGaussian(), 3, 4, SeedSpec(0, 2)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"d\.bin: entries must be finite"):
+            load_transform(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -8,7 +8,8 @@ consumed, changes them.  The two subset cases span several pool chunks
 (the second in int8 pools), so they also pin that the pool's layout and
 the sort's working type change no subset.  The Rademacher digest pins the
 packed-byte sign convention and the Achlioptas digest the
-``integers(0, 6, dtype=uint8)`` byte map.
+``integers(0, 6, dtype=uint8)`` byte map.  A dense transform drawn in row
+blocks, one of them holding a lone trailing row, joins into the same bytes.
 """
 
 import hashlib
@@ -67,3 +68,20 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_draw_bytes_match_golden(name):
     assert describe(CASES[name]()) == GOLDEN[name]
+
+
+DENSE = {
+    "gaussian_entries_k37_d301": (DenseGaussian(), 1),
+    "achlioptas_entries_k37_d301": (AchlioptasSparse(), 2),
+    "rademacher_entries_k37_d301": (Rademacher(), 3),
+}
+
+
+@pytest.mark.parametrize("rows", [5, 12])
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_row_blocks_join_into_golden(name, rows):
+    """37 rows in blocks of 5 (the last of 7 rows) or of 12 (the lone 37th
+    row joins the third block)."""
+    kind, stream = DENSE[name]
+    blocks = sample_transform(kind, 37, 301, SeedSpec(11, stream)).row_blocks(rows)
+    assert describe(np.vstack([block.copy() for _, block in blocks])) == GOLDEN[name]

@@ -341,6 +341,18 @@ class TestVerification:
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.detail}" for c in failed]
 
+    @pytest.mark.parametrize("seed", [206, 342, 346, 377])
+    def test_few_pairs_use_the_exact_test(self, seed):
+        """With 3 pairs every expected count is below 5: all three pairs
+        share one count, which Pearson's chi-squared rejects (15.0 > 13.8),
+        has exact p = 1/108 + 1/108 >= 0.001."""
+        spec = SeedSpec(seed, experiments._VERIFY_ROLE | 7 << 32)
+        assert experiments._collision_distribution(3, spec) == (True, "exact p=0.009259 alpha=0.001")
+
+    def test_verify_passes_with_three_pairs(self):
+        checks = run_verification(master_seed=206, trials=1, pair_samples=3)
+        assert [c.name for c in checks if not c.passed] == []
+
     def test_collision_variance_is_the_hypergeometric_law(self):
         """collision-mean's SE comes from Var of Hypergeometric(50, 16, 16)."""
         mu = 16 * 16 / 50

@@ -3,6 +3,10 @@
 Any change to sampling order, stream ids, cell order, quantile ranks or
 float formatting changes these bytes.  Regenerate the digests only for a
 change that is meant to alter output, and say why where it is recorded.
+
+The fixed config has d = 200, so every dense transform is one row block;
+the d = 10^4 sweep-k case projects k = 200 and k = 400 in several blocks
+(two and four of at most 104 rows), on dense inputs cut into two chunks.
 """
 
 import hashlib
@@ -29,3 +33,14 @@ def test_csv_bytes_match_golden(command, tmp_path):
     if tail.exists():
         written["tail.csv"] = _sha256(tail)
     assert written == GOLDEN["outputs"][command]
+
+
+# sweep-k at d = 10^4, captured before dense transforms were drawn in row blocks.
+BLOCKS_ARGS = ["--n", "150", "--d", "10000", "--trials", "2", "--k", "200,400", "--seed", "5"]
+BLOCKS_CSV = "988b388ce97e7cdf32d1a7f59df26e63f0ec3a5dbcc6db0ddf470d6938623e4a"
+
+
+def test_sweep_k_in_row_blocks_matches_golden(tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli_main(["sweep-k", *BLOCKS_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == BLOCKS_CSV

@@ -31,6 +31,7 @@ from jlproj.stats import (
     fourth_moment_check,
     gaussian_variance_check,
     hypergeometric_pmf,
+    multinomial_exact_test,
     quantile,
     sample_collision_counts,
     tail_bound_report,
@@ -434,6 +435,31 @@ class TestChiSquareGof:
             counts = np.full(df + 1, 100)
             _, critical, _ = chi_square_gof(counts, np.full(df + 1, 1.0 / (df + 1)), alpha=alpha)
             assert critical == float(chi2.ppf(1.0 - alpha, df))
+
+
+class TestMultinomialExactTest:
+    @pytest.mark.parametrize("total", [0, 1, 3, 7, 29])
+    def test_p_value_sums_the_outcomes_no_more_likely(self, total):
+        """Against scipy's pmf summed over every count vector of the total."""
+        from scipy.stats import multinomial
+
+        probs = [1 / 6, 2 / 3, 1 / 6]
+        outcomes = [(a, b, total - a - b) for a in range(total + 1) for b in range(total + 1 - a)]
+        pmf = {o: multinomial.pmf(o, total, probs) for o in outcomes}
+        for observed in outcomes:
+            p_value, ok = multinomial_exact_test(observed, probs)
+            expected = sum(p for p in pmf.values() if p <= pmf[observed] * (1 + 1e-7))
+            assert p_value == pytest.approx(min(expected, 1.0), rel=1e-9)
+            assert ok == (p_value >= 0.001)
+
+    def test_rejects_at_alpha(self):
+        p_value, ok = multinomial_exact_test([9, 0, 0], [1 / 6, 2 / 3, 1 / 6])
+        assert p_value < 0.001 and not ok
+        assert multinomial_exact_test([9, 0, 0], [1 / 6, 2 / 3, 1 / 6], alpha=p_value)[1]
+
+    def test_rejects_misaligned_input(self):
+        with pytest.raises(ValueError, match="align"):
+            multinomial_exact_test([1, 2], [0.5, 0.25, 0.25])
 
 
 def test_cli_import_leaves_out_scipy_stats():
