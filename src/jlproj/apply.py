@@ -10,7 +10,9 @@ A dense transform is projected in row blocks of at most
 DenseTransform.row_blocks`): a sampled one is drawn a block at a time as
 it is projected, and the join of its blocks is the documented one-call
 draw, so no whole ``k x d`` transform is held; once its ``entries`` have
-been read the blocks are views of them.  For a dense batch the whole
+been read the blocks are views of them.  The per-vector :func:`apply` and
+:func:`distortion` read them first, so a transform applied vector by
+vector is drawn once.  For a dense batch the whole
 ``(n, k)`` output is filled block by block, ``Y[:, a:b] = X @ block.T`` per
 chunk.  For a sparse batch the blocks' rows in the batch's support (its
 ``u`` sorted distinct columns, cached on the batch) fill the C-ordered
@@ -135,8 +137,9 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
 
     The products use only the columns of each input's support: nnz(x) * s
     stored entries of the graph construction, k * nnz(x) of a dense
-    transform.  A dense transform is projected one row block at a time, so
-    it is drawn once per call and at most one of its blocks is held.
+    transform.  A dense transform is projected one row block at a time: one
+    whose entries have not been read is drawn afresh on each call, and at
+    most one of its blocks is held.
     """
     graph = isinstance(transform, SparseColumnLayout)
     n, nnz = xs.values.shape
@@ -151,17 +154,34 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
         yield start, Y
 
 
+def _held(transform: Transform) -> Transform:
+    """``transform``, with a dense one's entries read and so kept: a
+    transform applied vector by vector is drawn once, not once per vector."""
+    if isinstance(transform, DenseTransform):
+        transform.entries  # noqa: B018 - the read draws and caches them
+    return transform
+
+
 def apply(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> np.ndarray:
-    """Exact float64 linear map y = Rx: a batch of one of the projection kernel."""
+    """Exact float64 linear map y = Rx: a batch of one of the projection kernel.
+
+    A dense transform's entries are read, and so kept on it, as by
+    :func:`distortion`.
+    """
     xs = x.batch()
     _check_dimension(transform, xs)
-    [(_, Y)] = _project(transform, xs, counter)
+    [(_, Y)] = _project(_held(transform), xs, counter)
     return Y[0]
 
 
 def distortion(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> float:
-    """Squared-norm distortion delta = |Rx|^2 - 1 for a unit vector x: a batch of one."""
-    return float(distortion_batch(transform, x.batch(), counter)[0])
+    """Squared-norm distortion delta = |Rx|^2 - 1 for a unit vector x: a batch of one.
+
+    A dense transform's entries are read, and so kept on it: a caller that
+    goes vector by vector draws the transform once, at the memory cost of
+    the whole k x d transform.
+    """
+    return float(distortion_batch(_held(transform), x.batch(), counter)[0])
 
 
 def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter | None = None) -> np.ndarray:
@@ -169,7 +189,10 @@ def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter 
 
     The batch's dimension is checked first, then every row's norm (cached
     on the batch) must be within UNIT_NORM_TOL of 1 (a NaN or infinite norm
-    fails); the rows are then projected chunk by chunk.
+    fails); the rows are then projected chunk by chunk.  A sampled dense
+    transform whose entries have not been read is drawn again, row block
+    by row block, on every call: a caller that projects one transform onto
+    several batches reads its ``entries`` once first, or stacks the batches.
     """
     _check_dimension(transform, xs)
     norms = xs.norms

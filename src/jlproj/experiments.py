@@ -48,6 +48,7 @@ from .core import (
     sample_unit_sphere_batch,
 )
 from .stats import (
+    GOF_ALPHA,
     chi_square_gof,
     collision_tail_check,
     empirical_cdf,
@@ -411,12 +412,12 @@ def _collision_mean(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
 
 
 def _collision_distribution(pairs: int, seed: SeedSpec) -> tuple[bool, str]:
-    """Pearson's chi-squared at alpha = 0.001, or the exact multinomial test
-    at the same alpha when an expected count pairs/6 is below 5."""
+    """Pearson's chi-squared at GOF_ALPHA, or the exact multinomial test at
+    the same alpha when an expected count pairs/6 is below 5."""
     observed = np.bincount(sample_collision_counts(4, 2, pairs, seed), minlength=3)
     if pairs < 30:
         p_value, ok = multinomial_exact_test(observed, [1 / 6, 2 / 3, 1 / 6])
-        return ok, f"exact p={p_value:.4g} alpha=0.001"
+        return ok, f"exact p={p_value:.4g} alpha={GOF_ALPHA:g}"
     statistic, critical, ok = chi_square_gof(observed, [1 / 6, 2 / 3, 1 / 6])
     return ok, f"chi2={statistic:.3f} critical={critical:.3f}"
 

@@ -41,6 +41,9 @@ from .core import (
 from .apply import distortion  # noqa: F401
 from .core import sample_unit_sphere  # noqa: F401
 
+# Significance level of the goodness-of-fit tests.
+GOF_ALPHA = 0.001
+
 
 @dataclass(frozen=True)
 class TailReport:
@@ -267,7 +270,7 @@ def gaussian_variance_check(k: int, d: int, trials: int, seed: SeedSpec) -> Vari
     return VarianceReport(sample_variance=float(sq_norms.var(ddof=1)), expected_variance=2.0 / k)
 
 
-def chi_square_gof(observed_counts, expected_probs, alpha: float = 0.001):
+def chi_square_gof(observed_counts, expected_probs, alpha: float = GOF_ALPHA):
     """Pearson goodness-of-fit: (statistic, critical value, passed at alpha).
 
     The critical value is the chi-squared (1 - alpha)-quantile with
@@ -287,8 +290,8 @@ def chi_square_gof(observed_counts, expected_probs, alpha: float = 0.001):
     return statistic, critical, statistic <= critical
 
 
-def multinomial_exact_test(observed_counts, expected_probs, alpha: float = 0.001):
-    """Exact multinomial goodness-of-fit: (p-value, passed at alpha).
+def multinomial_exact_test(observed_counts, expected_probs):
+    """Exact multinomial goodness-of-fit: (p-value, passed at GOF_ALPHA).
 
     The p-value is the probability, under the expected law with the
     observed total N, of every count vector no more likely than the
@@ -318,4 +321,4 @@ def multinomial_exact_test(observed_counts, expected_probs, alpha: float = 0.001
         if log_p <= cutoff:
             p_value += math.exp(log_p)
     p_value = min(p_value, 1.0)
-    return p_value, p_value >= alpha
+    return p_value, p_value >= GOF_ALPHA

@@ -529,6 +529,18 @@ class TestRowBlocks:
         distortion_batch(transform, sample_unit_sphere_batch(self.D, 5, SeedSpec(93, 1)))
         assert "entries" not in vars(transform)
 
+    @pytest.mark.parametrize("kind", KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_per_vector_calls_keep_the_entries(self, kind):
+        """apply and distortion go one vector at a time, so they draw a
+        fresh transform once and keep it, with the deltas of a fresh one."""
+        xs = sample_unit_sphere_batch(self.D, 3, SeedSpec(93, 1))
+        fresh = [distortion_batch(sample_transform(kind, 13, self.D, SeedSpec(93, 0)), x.batch())[0] for x in xs]
+        for project in (apply, distortion):
+            transform = sample_transform(kind, 13, self.D, SeedSpec(93, 0))
+            project(transform, xs[0])
+            assert "entries" in vars(transform)
+        assert [distortion(transform, x) for x in xs] == fresh
+
     @pytest.mark.parametrize(
         "kind,extra",
         [(DenseGaussian(), 0), (AchlioptasSparse(), 400 * 10_000)],

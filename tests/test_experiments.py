@@ -345,7 +345,7 @@ class TestVerification:
     def test_few_pairs_use_the_exact_test(self, seed):
         """With 3 pairs every expected count is below 5: all three pairs
         share one count, which Pearson's chi-squared rejects (15.0 > 13.8),
-        has exact p = 1/108 + 1/108 >= 0.001."""
+        has exact p = 1/216 + 1/216 = 1/108 >= 0.001."""
         spec = SeedSpec(seed, experiments._VERIFY_ROLE | 7 << 32)
         assert experiments._collision_distribution(3, spec) == (True, "exact p=0.009259 alpha=0.001")
 

@@ -25,6 +25,7 @@ from jlproj.core import (
     sample_unit_sphere,
 )
 from jlproj.stats import (
+    GOF_ALPHA,
     chi_square_gof,
     collision_tail_check,
     empirical_cdf,
@@ -450,12 +451,11 @@ class TestMultinomialExactTest:
             p_value, ok = multinomial_exact_test(observed, probs)
             expected = sum(p for p in pmf.values() if p <= pmf[observed] * (1 + 1e-7))
             assert p_value == pytest.approx(min(expected, 1.0), rel=1e-9)
-            assert ok == (p_value >= 0.001)
+            assert ok == (p_value >= GOF_ALPHA)
 
     def test_rejects_at_alpha(self):
         p_value, ok = multinomial_exact_test([9, 0, 0], [1 / 6, 2 / 3, 1 / 6])
-        assert p_value < 0.001 and not ok
-        assert multinomial_exact_test([9, 0, 0], [1 / 6, 2 / 3, 1 / 6], alpha=p_value)[1]
+        assert p_value < GOF_ALPHA and not ok
 
     def test_rejects_misaligned_input(self):
         with pytest.raises(ValueError, match="align"):
