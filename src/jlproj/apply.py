@@ -14,21 +14,29 @@ been read the blocks are views of them.  The per-vector :func:`apply` and
 :func:`distortion` read them first, so a transform applied vector by
 vector is drawn once.  For a dense batch the whole
 ``(n, k)`` output is filled block by block, ``Y[:, a:b] = X @ block.T`` per
-chunk.  For a sparse batch the blocks' rows in the batch's support (its
-``u`` sorted distinct columns, cached on the batch) fill the C-ordered
-``(u, k)`` support operator ``op``, and each chunk is one product
-``Y = X @ op`` with its indices remapped into it.  The remap is monotone,
-so each row still adds its terms in index order and every delta is
-bitwise that of the whole operator; a batch that uses all ``d`` columns
-multiplies the whole ``(d, k)`` operator instead.  The graph construction
-multiplies each chunk by the ``(d, k)`` CSR matrix of its ±1 signs, with
-the ``1/sqrt(s)`` scale applied to ``Y`` afterwards.
+chunk, and the graph construction multiplies each chunk by the ``(d, k)``
+CSR matrix of its ±1 signs.
+
+A sparse batch meets every family through one C-ordered float64 ``(u, k)``
+support operator ``op``, whose row j is the transform's column at the
+batch's j-th support column (its ``u`` sorted distinct columns, cached on
+the batch): a dense transform's blocks fill it, and the graph construction
+scatters each column's ±1 signs into its ``s`` rows of zeros.  Each chunk
+is one CSR-by-dense product ``Y = X @ op`` with its indices remapped into
+the support.  The remap is monotone, so each row still adds its terms in
+index order and every delta is bitwise that of the whole operator; a batch
+that uses all ``d`` columns takes the whole ``(d, k)`` operator.  The
+graph construction's ``1/sqrt(s)`` scale is applied to ``Y`` afterwards.
 
 Accumulation order: for the graph construction each output coordinate adds
-its terms in CSR column order, i.e. in index order of the input's support,
-so results do not depend on the chunking and a sparse input and its
-densified copy agree bitwise.  For a dense transform the product is one
-BLAS call per chunk and block, whose summation order is the library's.
+its terms in the input's index order, in both kernels, so results do not
+depend on the chunking and a sparse input and its densified copy agree
+bitwise.  The support operator's zeros add ±0 to a sum that starts at +0,
+which leaves the sum unchanged, so they move no bit either (a finite input
+is assumed: an infinite or NaN entry times a zero is NaN, and the
+unit-norm gate of :func:`distortion_batch` rejects such rows).  For a dense
+transform the product is one BLAS call per chunk and block on a dense
+batch, whose summation order is the library's.
 
 Epilogue: each chunk's squared norms |y|^2 come from one batched
 ``(1, k) @ (k, 1)`` matmul over its rows, which runs the same dot kernel
@@ -43,10 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
 
 from .constructions import DenseTransform, SparseColumnLayout, Transform
-from .core import InputBatch, InputVector
+from .core import InputBatch, InputVector, check_entry_budget
 
 # Inputs handed to distortion_batch() may have been round-tripped
 # through files, so the unit-norm gate is looser than the generators' 1e-12.
@@ -61,7 +69,9 @@ _SCRATCH_BYTES = 1 << 23
 
 @dataclass
 class WorkCounter:
-    """Counts stored transform entries touched by projections."""
+    """Counts stored transform entries touched by projections: the entries
+    a product uses, nnz(x) * s per input for the graph construction, not the
+    zero rows of the support operator it multiplies."""
 
     entries_touched: int = 0
 
@@ -71,23 +81,22 @@ def _block_rows(transform: DenseTransform) -> int:
     return max(1, _SCRATCH_BYTES // (8 * transform.d))
 
 
-def _operator(transform: Transform, xs: InputBatch):
-    """Right operand ``op`` of ``Y = X @ op`` for a sparse batch or the
-    graph construction, and the sorted columns that its rows stand for
-    (None when they are all ``d``): the graph construction's (d, k) CSR
-    sign matrix, or a dense transform's C-ordered (u, k) support operator,
-    filled from its row blocks."""
-    if isinstance(transform, SparseColumnLayout):
-        d, s = transform.d, transform.s
-        indptr = np.arange(0, d * s + 1, s)
-        return csr_array((transform.signs.ravel(), transform.rows.ravel(), indptr), shape=(d, transform.k)), None
+def _operator(transform: Transform, xs: InputBatch) -> np.ndarray:
+    """C-ordered float64 (u, k) operator of the sparse batch ``xs``: row j
+    is the transform's column ``xs.support[j]``, unscaled ±1 signs for the
+    graph construction."""
     cols = xs.support
-    if len(cols) == transform.d:
-        cols = None
-    op = np.empty((transform.d if cols is None else len(cols), transform.k))
+    check_entry_budget("support operator", len(cols), transform.k)
+    full = len(cols) == transform.d
+    if isinstance(transform, SparseColumnLayout):
+        rows, signs = (transform.rows, transform.signs) if full else (transform.rows[cols], transform.signs[cols])
+        op = np.zeros((len(cols), transform.k))
+        op[np.arange(len(cols))[:, None], rows] = signs
+        return op
+    op = np.empty((len(cols), transform.k))
     for a, block in transform.row_blocks(_block_rows(transform)):
-        op[:, a : a + len(block)] = block.T if cols is None else block[:, cols].T
-    return op, cols
+        op[:, a : a + len(block)] = block.T if full else block[:, cols].T
+    return op
 
 
 def _dense_products(transform: DenseTransform, X: np.ndarray, rows: int):
@@ -103,26 +112,38 @@ def _dense_products(transform: DenseTransform, X: np.ndarray, rows: int):
         yield start, Y[start : start + rows]
 
 
+def _graph_dense_products(layout: SparseColumnLayout, X: np.ndarray, rows: int):
+    """(start, Y) per chunk of ``rows`` rows of the dense block ``X``, each
+    one product with the (d, k) CSR matrix of the layout's ±1 signs."""
+    d, s = layout.d, layout.s
+    signs = csr_array((layout.signs.ravel(), layout.rows.ravel(), np.arange(0, d * s + 1, s)), shape=(d, layout.k))
+    for start in range(0, len(X), rows):
+        # A dense-by-CSR product comes back transposed; rows must be
+        # contiguous, or the epilogue's dot takes another summation kernel.
+        yield start, np.ascontiguousarray(X[start : start + rows] @ signs)
+
+
 def _chunk_products(transform: Transform, xs: InputBatch, rows: int):
-    """(start, Y) per chunk of ``rows`` rows of ``xs``, each one product
-    with the operator of :func:`_operator`."""
-    graph = isinstance(transform, SparseColumnLayout)
-    op, cols = _operator(transform, xs)
+    """(start, Y) per chunk of ``rows`` rows of the sparse batch ``xs``,
+    each one CSR-by-dense product with its support operator."""
+    op = _operator(transform, xs)
+    # Position of each support column in the operator; only those are read.
+    pos = np.empty(xs.dim, dtype=np.int32)
+    pos[xs.support] = np.arange(len(op), dtype=np.int32)
     n, nnz = xs.values.shape
+    indptr = np.arange(min(rows, n) + 1, dtype=np.int32) * nnz
     for start in range(0, n, rows):
-        X = xs.values[start : start + rows]
-        c = len(X)
-        if xs.indices is not None:
-            indices = xs.indices[start : start + rows].ravel()
-            if cols is not None:
-                indices = np.searchsorted(cols, indices)
-            X = csr_array((X.ravel(), indices, np.arange(c + 1) * nnz), shape=(c, op.shape[0]))
+        values = xs.values[start : start + rows]
+        c = len(values)
+        # int32 indices and indptr keep scipy from widening the indices to
+        # int64; it still copies the values of a chunk that is a view of
+        # less than half the batch (its _prune_array).
+        indices = pos[xs.indices[start : start + rows]].ravel()
+        X = csr_array((values.ravel(), indices, indptr[: c + 1]), shape=(c, len(op)))
         Y = X @ op
-        # A sparse product comes back as CSR, a dense-by-CSR one transposed;
-        # rows must be contiguous, or the epilogue's dot takes another summation kernel.
-        Y = Y.toarray() if issparse(Y) else np.ascontiguousarray(Y)
-        if graph:
-            Y *= transform.scale
+        # Drop this chunk's CSR before Y is handed on, so that it is not
+        # held while the next chunk's is built.
+        del indices, X
         yield start, Y
 
 
@@ -144,11 +165,15 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
     graph = isinstance(transform, SparseColumnLayout)
     n, nnz = xs.values.shape
     rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
-    if xs.indices is None and not graph:
-        products = _dense_products(transform, xs.values, rows)
-    else:
+    if xs.indices is not None:
         products = _chunk_products(transform, xs, rows)
+    elif graph:
+        products = _graph_dense_products(transform, xs.values, rows)
+    else:
+        products = _dense_products(transform, xs.values, rows)
     for start, Y in products:
+        if graph:
+            Y *= transform.scale
         if counter is not None:
             counter.entries_touched += len(Y) * nnz * (transform.s if graph else transform.k)
         yield start, Y

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from jlproj import core
 from jlproj.apply import WorkCounter, apply, distortion, distortion_batch
 from jlproj.constructions import DenseTransform, sample_transform
 from jlproj.core import (
@@ -19,6 +20,7 @@ from jlproj.core import (
     InputBatch,
     InputVector,
     Rademacher,
+    ResourceLimitError,
     SeedSpec,
     sample_sparse_unit_batch,
     sample_unit_sphere,
@@ -417,7 +419,7 @@ def _partial_support_batch(d, t, n, seed):
 
 
 class TestSupportOperator:
-    """A dense transform meets a sparse batch on the batch's support only."""
+    """Every transform meets a sparse batch on the batch's support only."""
 
     K = 40
 
@@ -454,6 +456,49 @@ class TestSupportOperator:
             assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
         assert np.array_equal(distortion_batch(transform, xs), distortion_batch(transform, wide))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize(
+        "d,t,n",
+        [(100, 4, 7), (5000, 4, 7), (30, 10, 50), (200, 100, 30)],
+        ids=["partial-int8", "partial-int16", "full-int8", "full-int16"],
+    )
+    def test_graph_bitwise_equals_bincount(self, d, t, n, rows, monkeypatch):
+        """The graph construction's ±1 signs scattered into the zeros of its
+        support operator give the deltas of its columns scattered one
+        vector at a time, and the counter adds n * t * s entries."""
+        xs = sample_sparse_unit_batch(d, t, n, SeedSpec(84, d))
+        assert xs.indices.dtype == (np.int8 if d <= 128 else np.int16)
+        assert (len(xs.support) == d) == (d in (30, 200))
+        layout = sample_transform(GraphSparse(6), self.K, d, SeedSpec(84, 0))
+        if rows is not None:
+            monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * t + self.K))
+            assert max(len(Y) for _, Y in apply_module._project(layout, xs, None)) == rows
+        expected = [float(y @ y) - 1.0 for y in (_bincount_reference(layout, x) for x in xs)]
+        counter = WorkCounter()
+        assert np.array_equal(distortion_batch(layout, xs, counter), expected)
+        assert counter.entries_touched == n * t * 6
+
+    @pytest.mark.parametrize("d", [100, 5000])
+    def test_graph_one_hot_rows_are_exactly_zero(self, d):
+        """A t = 1 row reproduces one column: s = 16 entries of ±1/4, whose
+        squares sum to exactly 1."""
+        layout = sample_transform(GraphSparse(16), self.K, d, SeedSpec(85, 0))
+        deltas = distortion_batch(layout, sample_sparse_unit_batch(d, 1, 300, SeedSpec(85, 1)))
+        assert np.all(deltas == 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
+    def test_operator_over_the_entry_budget_is_refused(self, kind, monkeypatch):
+        """The graph construction's layout budget (d * s) does not bound its
+        (u, k) operator, so the operator is checked before it is made."""
+        transform = sample_transform(kind, self.K, 100, SeedSpec(87, 0))
+        xs = _partial_support_batch(100, 4, 7, SeedSpec(87, 1))
+        u = len(xs.support)
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", u * self.K - 1)
+        with pytest.raises(ResourceLimitError, match=rf"^support operator of {u}x{self.K} entries exceeds"):
+            distortion_batch(transform, xs)
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", u * self.K)
+        distortion_batch(transform, xs)
+
     def test_counter_unchanged(self):
         transform = sample_transform(Rademacher(), self.K, 5000, SeedSpec(81, 0))
         xs = _partial_support_batch(5000, 4, 7, SeedSpec(81, 1))
@@ -475,6 +520,26 @@ class TestSupportOperator:
         finally:
             tracemalloc.stop()
         assert peak <= 12 << 20
+
+    def test_graph_peak_is_the_operator_and_one_chunk(self):
+        """A graph x sparse call holds its (u, k) operator, the layout's rows
+        and signs, and one chunk: its values (copied by scipy, as a chunk is
+        a view of less than half the batch), int32 indices and output.
+        Indices widened to int64 would add 8 bytes an entry, 4 MB here."""
+        d, t, n, k, s = 10_000, 1000, 1200, 50, 16
+        layout = sample_transform(GraphSparse(s), k, d, SeedSpec(86, 0))
+        xs = sample_sparse_unit_batch(d, t, n, SeedSpec(86, 1))
+        u = len(xs.support)  # the support and the norms are cached before tracing
+        xs.norms
+        rows = apply_module._SCRATCH_BYTES // (8 * (2 * t + k))
+        assert 2 * rows < n
+        tracemalloc.start()
+        try:
+            distortion_batch(layout, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u * k * 8 + u * s * 16 + rows * (t * (8 + 4) + k * 8) + (1 << 20)
 
 
 class TestRowBlocks:

@@ -369,6 +369,27 @@ def test_repeated_axis_value_exits_two_before_sampling(command, axis, values, tm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,axis,values,rule",
+    [
+        ("sweep-s", "s", "1,200", "s=200 must satisfy 1 <= s <= 50"),
+        ("sweep-t", "t", "1,101", "t=101 must satisfy 1 <= t <= 100"),
+        ("sweep-k", "k", "2,50", "k=2 must satisfy 16 <= k <= inf"),
+    ],
+    ids=["sweep-s", "sweep-t", "sweep-k"],
+)
+def test_axis_value_out_of_range_exits_two_before_sampling(command, axis, values, rule, tmp_path, capsys, monkeypatch):
+    """A swept value outside its range (s above the default k = 50, t above
+    d, k below the default s = 16) is rejected before any input batch is drawn."""
+    from jlproj import core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    argv = [command, f"--{axis}", values, "--n", "50", "--d", "100", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: sweep value {rule}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 @pytest.mark.parametrize("command", ["sweep-k", "verify"])
 def test_bad_thread_count_exits_two_before_sampling(command, value, tmp_path, capsys, monkeypatch):

@@ -281,7 +281,7 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match=r"not a transform file \(bad magic b'NOPE'\)$"):
             load_transform(path)
 
     def test_truncated_rejected(self, tmp_path):

@@ -7,6 +7,8 @@ change that is meant to alter output, and say why where it is recorded.
 The fixed config has d = 200, so every dense transform is one row block;
 the d = 10^4 sweep-k case projects k = 200 and k = 400 in several blocks
 (two and four of at most 104 rows), on dense inputs cut into two chunks.
+The d = 10^4 sweep-t case meets sparse batches through support operators
+that cover part of the columns (t = 1 and 100) and all of them (t = 1000).
 """
 
 import hashlib
@@ -44,3 +46,17 @@ def test_sweep_k_in_row_blocks_matches_golden(tmp_path):
     out = tmp_path / "out.csv"
     assert cli_main(["sweep-k", *BLOCKS_ARGS, "--out", str(out)]) == 0
     assert _sha256(out) == BLOCKS_CSV
+
+
+# sweep-t at d = 10^4, captured before the graph construction met sparse
+# batches through a dense support operator.
+SUPPORT_ARGS = ["--n", "300", "--d", "10000", "--trials", "1", "--t", "1,100,1000", "--seed", "5"]
+SUPPORT_CSV = "c058da27b929dd6704a6d8e281aebca35ee95388b42d1918d0d08c4414ce0245"
+
+
+def test_sweep_t_through_support_operators_matches_golden(tmp_path):
+    """Captured on OpenBLAS's SkylakeX kernel: the epilogue's matmul sums
+    each |y|^2 in the kernel's order, so these bytes depend on the kernel."""
+    out = tmp_path / "out.csv"
+    assert cli_main(["sweep-t", *SUPPORT_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == SUPPORT_CSV
