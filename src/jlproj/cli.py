@@ -2,13 +2,15 @@
 
 Subcommands: sweep-s, sweep-t, sweep-k, cdf, verify, required-k.  Every
 experiment subcommand writes its CSV to --out plus a JSON run manifest
-(config, seed, version, start time) to <out>.manifest.json, and cdf also
-writes <out>.tail.csv; the directory of --out must exist and each of
-these files must be absent or a regular file, all checked before any
-sampling.  Exit codes: 0 on success, 1 when `verify` finds failing
-checks, 2 on invalid arguments (including a missing output directory,
-an empty --probes, an infinite cdf grid or tail bound, and a swept axis
-that is empty or repeats a value, each checked before any sampling), 3
+(config, seed, version, start time) to --out with its suffix replaced by
+.manifest.json, and cdf also writes its tail table with the suffix
+.tail.csv (--out r/k.csv gives r/k.manifest.json and r/k.tail.csv); the
+directory of --out must exist and each of these files must be absent or
+a regular file, all checked before any sampling.  Exit codes: 0 on
+success, 1 when `verify` finds failing checks, 2 on invalid arguments
+(including a missing output directory, an empty --probes, an infinite
+or out-of-order cdf grid or tail table, and a swept axis that is empty
+or repeats a value, each checked before any sampling), 3
 when an input block, a cell's delta block, any cell's transform or a cdf
 grid would exceed the memory budget (also checked before any sampling)
 or an output cannot be written (including an output path naming a

@@ -277,8 +277,6 @@ def sample_sparse_unit_batch(d: int, t: int, count: int, seed: SeedSpec) -> Inpu
     including 0; its values are those of :func:`sample_without_replacement`
     for the same stream.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
     if t < 1 or t > d:
         raise ValueError(f"support size must satisfy 1 <= t <= d, got t={t}, d={d}")
     _check_count(count)

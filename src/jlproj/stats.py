@@ -157,8 +157,6 @@ def _membership_counts(first: np.ndarray, second: np.ndarray, k: int) -> np.ndar
 
 def collision_tail_check(k: int, s: int, num_pairs: int, seed: SeedSpec) -> CollisionTailReport:
     """Empirical Pr[collisions > 2s^2/k] next to the exact hypergeometric tail."""
-    if s > k:
-        raise ValueError(f"column sparsity s={s} exceeds k={k}")
     counts = sample_collision_counts(k, s, num_pairs, seed)
     threshold = 2.0 * s * s / k
     exact = sum(hypergeometric_pmf(k, s, s, x) for x in range(int(threshold) + 1, s + 1))

@@ -86,7 +86,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         transform = sample_transform(Rademacher(), 4, 8, SeedSpec(0, 1))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"^input dimension 9 does not match the transform's d=8$"):
             apply(transform, InputVector(dim=9, values=np.zeros(9)))
 
 
@@ -103,7 +103,7 @@ class TestDistortion:
 
     def test_rejects_non_unit_input(self):
         t = sample_transform(DenseGaussian(), 5, 20, SeedSpec(2, 2))
-        with pytest.raises(ValueError, match="unit"):
+        with pytest.raises(ValueError, match=rf"^distortion requires a unit vector, got \|x\| = {math.sqrt(5.0)!r}$"):
             distortion(t, InputVector(dim=20, values=np.full(20, 0.5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -286,8 +286,33 @@ def test_cdf_infinite_bound_exits_two_before_sampling(flag, value, tmp_path, cap
     monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
     argv = ["cdf", *_SMALL, f"{flag}={value}", "--out", str(tmp_path / "c.csv")]
     assert cli_main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == "error: grid and tail bounds must be finite, and so must hi - lo\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_GRID_ORDER = "grid needs lo < hi and at least 2 points"
+_TAIL_ORDER = "tail thresholds need 0 < tail_lo < tail_hi and >= 2 points"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--grid-min", "1", "--grid-max", "-1"], _GRID_ORDER),
+        (["--grid-min", "0.5", "--grid-max", "0.5"], _GRID_ORDER),
+        (["--grid-points", "1"], _GRID_ORDER),
+        (["--tail-min", "1", "--tail-max", "0.5"], _TAIL_ORDER),
+        (["--tail-min", "0"], _TAIL_ORDER),
+        (["--tail-points", "1"], _TAIL_ORDER),
+    ],
+)
+def test_cdf_grid_order_exits_two_before_sampling(flags, message, tmp_path, capsys, monkeypatch):
+    """A descending or one-point grid or tail table is refused before any draw."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    assert cli_main(["cdf", *_SMALL, *flags, "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,11 @@ from jlproj.core import (
 ALL_KINDS = [DenseGaussian(), Rademacher(), AchlioptasSparse(), GraphSparse(8)]
 
 
+def _load_error(path, message):
+    """pytest.raises for load_transform's one-line error: the file's path, then exactly ``message``."""
+    return pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$")
+
+
 class TestGraphSparseLayout:
     def test_column_sparsity_exact(self):
         """Every column stores exactly s strictly increasing rows (k=50, s=16)."""
@@ -49,7 +55,7 @@ class TestGraphSparseLayout:
         assert np.array_equal(layout.rows, np.tile(np.arange(12), (300, 1)))
 
     def test_s_larger_than_k_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^column sparsity s=10 exceeds k=9$"):
             sample_transform(GraphSparse(10), 9, 100, SeedSpec(0, 2))
 
     def test_determinism(self):
@@ -156,12 +162,16 @@ class TestDenseKinds:
     def test_entries_must_be_finite(self, bad):
         entries = np.zeros((3, 4))
         entries[1, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^entries must be finite$"):
             DenseTransform(k=3, d=4, entries=entries, kind=DenseGaussian())
 
     def test_entries_or_seed_needed(self):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match=r"^a dense transform needs its entries or the seed to draw them from$"):
             DenseTransform(k=3, d=4, entries=None, kind=DenseGaussian())
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(TypeError, match=r"^unknown construction kind: GraphSparse\(s=2\)$"):
+            DenseTransform(k=3, d=4, entries=None, kind=GraphSparse(2), seed=SeedSpec(0, 0))
 
     def test_dense_entry_budget(self):
         with pytest.raises(ResourceLimitError):
@@ -275,19 +285,19 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[-8:] = np.array([bad], dtype="<f8").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=r"d\.bin: entries must be finite"):
+        with _load_error(path, "entries must be finite"):
             load_transform(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match=r"not a transform file \(bad magic b'NOPE'\)$"):
+        with _load_error(path, "not a transform file (bad magic b'NOPE')"):
             load_transform(path)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(b"JL")
-        with pytest.raises(ValueError, match="truncated"):
+        with _load_error(path, "truncated transform file"):
             load_transform(path)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -297,7 +307,34 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
+        with _load_error(path, "unsupported format version 99"):
+            load_transform(path)
+
+    @staticmethod
+    def _dense_file(path, k, d, s, code=1):
+        """A file with construction code ``code`` (Rademacher by default),
+        header (k, d, s) and k * d zero entries."""
+        header = constructions._HEADER.pack(b"JLPX", 1, code, k, d, s, 0, 0, 0)
+        path.write_bytes(header + bytes(8 * k * d))
+
+    def test_unknown_construction_code_rejected(self, tmp_path):
+        path = tmp_path / "r.bin"
+        self._dense_file(path, 3, 4, 0, code=7)
+        with _load_error(path, "unknown construction code 7"):
+            load_transform(path)
+
+    @pytest.mark.parametrize("k,d", [(0, 4), (3, 0)])
+    def test_non_positive_shape_rejected(self, k, d, tmp_path):
+        """Such a header implies an empty payload, and the file has one, so only the shape check refuses it."""
+        path = tmp_path / "r.bin"
+        self._dense_file(path, k, d, 0)
+        with _load_error(path, f"transform shape must be positive, got k={k}, d={d}"):
+            load_transform(path)
+
+    def test_dense_header_with_s_rejected(self, tmp_path):
+        path = tmp_path / "r.bin"
+        self._dense_file(path, 3, 4, 2)
+        with _load_error(path, "dense transform header has s=2, expected 0"):
             load_transform(path)
 
     @staticmethod
@@ -312,26 +349,26 @@ class TestSerialization:
         header = len(blob) - 9 * 4 * 2
         blob[header + 8 : header + 16] = (99).to_bytes(8, "little")  # column 0, second row
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=r"g\.bin: row index outside \[0, 10\)"):
+        with _load_error(path, "row index outside [0, 10)"):
             load_transform(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path, blob = self._graph_file(tmp_path)
         path.write_bytes(bytes(blob[:-3]))
-        with pytest.raises(ValueError, match=r"g\.bin: truncated payload"):
+        with _load_error(path, "truncated payload of 69 bytes, header needs 72"):
             load_transform(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, blob = self._graph_file(tmp_path)
         path.write_bytes(bytes(blob) + b"\x00")
-        with pytest.raises(ValueError, match=r"g\.bin: 1 trailing bytes"):
+        with _load_error(path, "1 trailing bytes after the payload"):
             load_transform(path)
 
     def test_huge_header_rejected_before_allocating(self, tmp_path):
         path, blob = self._graph_file(tmp_path)
         blob[17:25] = (1 << 40).to_bytes(8, "little")  # d
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="truncated payload"):
+        with _load_error(path, f"truncated payload of 72 bytes, header needs {9 * 2 * (1 << 40)}"):
             load_transform(path)
 
     @given(data=st.data())

@@ -112,7 +112,8 @@ class TestSparseUnit:
 
     @pytest.mark.parametrize("d,t", [(10, 0), (10, 11), (0, 1)])
     def test_invalid_arguments(self, d, t):
-        with pytest.raises(ValueError):
+        """d < 1 fails the support-size check too: no t has 1 <= t <= d."""
+        with pytest.raises(ValueError, match=rf"^support size must satisfy 1 <= t <= d, got t={t}, d={d}$"):
             sample_sparse_unit_batch(d, t, 1, SeedSpec(0, 0))
 
     def test_determinism(self):
@@ -147,11 +148,11 @@ class TestInputVectorValidation:
             InputVector(dim=10, values=np.ones(2), indices=np.array([3, 10]))
 
     def test_misaligned_sparse_storage(self):
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(ValueError, match=r"^sparse indices and values must align$"):
             InputVector(dim=10, values=np.ones(3), indices=np.array([1, 2]))
 
     def test_sparse_indices_must_be_integers(self):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=r"^sparse indices must be integers, got float64$"):
             InputVector(dim=3, values=np.array([1.0]), indices=np.array([1.7]))
 
     def test_support_marginals_uniform(self):
@@ -184,12 +185,16 @@ class TestInputVectorValidation:
 
 
 class TestInputBatch:
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
+            InputBatch(0, np.zeros((1, 0)))
+
     def test_wrong_width(self):
         with pytest.raises(ValueError, match="4 values per row"):
             InputBatch(4, np.zeros((2, 3)))
 
     def test_misaligned_storage(self):
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(ValueError, match=r"^sparse indices and values must align$"):
             InputBatch(10, np.ones((2, 3)), np.array([[1, 2], [3, 4]]))
 
     def test_values_must_be_two_dimensional(self):
@@ -206,7 +211,7 @@ class TestInputBatch:
             InputBatch(10, np.ones((2, 2)), np.array([[1, 2], [5, 5]]))
 
     def test_indices_must_be_integers(self):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=r"^sparse indices must be integers, got float64$"):
             InputBatch(3, np.ones((1, 1)), np.array([[1.0]]))
 
     def test_rows_are_views(self):

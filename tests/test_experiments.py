@@ -64,6 +64,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             desk_scale_config(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n", "d", "k"])
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=r"^n, d, k must be positive$"):
+            desk_scale_config(**{field: 0})
+
 
 class TestRequiredK:
     def test_worked_example(self):
@@ -103,12 +108,12 @@ class TestGridSpec:
     @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
     @pytest.mark.parametrize("field", ["lo", "hi", "tail_lo", "tail_hi"])
     def test_infinite_bound_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^grid and tail bounds must be finite, and so must hi - lo$"):
             GridSpec(**{field: value})
 
     def test_overflowing_span_rejected(self):
         """Finite bounds whose span overflows would give a nan grid."""
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^grid and tail bounds must be finite, and so must hi - lo$"):
             GridSpec(lo=-1e308, hi=1e308)
 
 

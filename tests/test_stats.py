@@ -117,7 +117,7 @@ class TestEmpiricalCdf:
         assert abs(value - 0.5) <= 4.0 * 0.5 / math.sqrt(10_000)
 
     def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(ValueError, match=r"^grid must be sorted ascending$"):
             empirical_cdf([1.0], [1.0, 0.0])
 
     def test_empty_samples_rejected(self):
@@ -269,13 +269,26 @@ class TestStreamedCollisions:
         assert (counts == 256).all()
         assert peak <= 8 << 20
 
-    @pytest.mark.parametrize("k,s,num_pairs", [(4, 5, 10), (4, 0, 10), (4, 2, 0)])
-    def test_bad_arguments(self, k, s, num_pairs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "k,s,num_pairs,message",
+        [
+            (4, 5, 10, "column sparsity s=5 exceeds k=4"),
+            (4, 0, 10, "need s >= 1 and num_pairs >= 1, got s=0, num_pairs=10"),
+            (4, 2, 0, "need s >= 1 and num_pairs >= 1, got s=2, num_pairs=0"),
+        ],
+        ids=["4-5-10", "4-0-10", "4-2-0"],
+    )
+    def test_bad_arguments(self, k, s, num_pairs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sample_collision_counts(k, s, num_pairs, SeedSpec(0, 0))
 
 
 class TestCollisionTail:
+    def test_s_above_k_rejected(self):
+        """Refused by sample_collision_counts, before any draw."""
+        with pytest.raises(ValueError, match=r"^column sparsity s=5 exceeds k=4$"):
+            collision_tail_check(4, 5, 10, SeedSpec(0, 0))
+
     def test_full_density_never_exceeds(self):
         report = collision_tail_check(6, 6, 2000, SeedSpec(9, 0))
         assert report.empirical_exceedance == 0.0
@@ -428,6 +441,11 @@ class TestChiSquareGof:
         _, _, ok = chi_square_gof(counts, np.full(4, 0.25))
         assert not ok
 
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [1.0]], ids=["shorter", "broadcast"])
+    def test_rejects_misaligned_input(self, probs):
+        with pytest.raises(ValueError, match=r"^observed counts and expected probabilities must align$"):
+            chi_square_gof([1, 2, 3], probs)
+
     @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1])
     def test_critical_value_equals_scipy_chi2_ppf(self, alpha):
         from scipy.stats import chi2
@@ -458,8 +476,15 @@ class TestMultinomialExactTest:
         assert p_value < GOF_ALPHA and not ok
 
     def test_rejects_misaligned_input(self):
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(ValueError, match=r"^observed counts and expected probabilities must align$"):
             multinomial_exact_test([1, 2], [0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize(
+        "counts,probs", [([2, -1, 3], [0.25, 0.5, 0.25]), ([2, 1, 3], [0.5, 0.5, 0.0])], ids=["count", "prob"]
+    )
+    def test_rejects_negative_counts_and_zero_probabilities(self, counts, probs):
+        with pytest.raises(ValueError, match=r"^need non-negative counts and positive probabilities$"):
+            multinomial_exact_test(counts, probs)
 
 
 def test_cli_import_leaves_out_scipy_stats():
