@@ -13,7 +13,11 @@ with a wall-clock timeout of 10 minutes and a 2 GiB address-space limit,
 set in that child process only, so a mutant that deletes an entry-budget check fails to
 allocate instead of taking gigabytes.  A mutant that hits either limit
 counts as killed and is listed again at the end.  The unmutated copy runs
-the selection first and must pass.  Mutants run one after another.
+the selection first and must pass.  Mutants run one after another, each
+with the tests of its own module (``tests/test_<module>.py``) moved to the
+front of the selection by this file, loaded as a pytest plugin: the
+collected tests are only reordered, never added or dropped, so a verdict
+is the one the selection gives in its own order, reached sooner.
 
 Usage (stdlib only; the arguments after ``--`` are the pytest selection,
 ``tests`` when none are given):
@@ -69,12 +73,26 @@ def raise_sites(source: str) -> list[tuple[int, str]]:
     return sorted(sites)
 
 
-def run_selection(copy: Path, selection: list[str]) -> tuple[str, str]:
-    """Run pytest -x on ``selection`` in ``copy``: (outcome, output), the
-    outcome one of "passed", "failed", "timeout" or "memory"."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONPATH", None)  # the copy's pytest config puts its own src first
+def pytest_addoption(parser):
+    parser.addoption("--audit-first", metavar="NAME", help="run the collected tests of this file name first")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Move the tests of ``--audit-first`` to the front, in their order; a
+    stable sort, so the selection's other tests keep theirs."""
+    first = config.getoption("audit_first")
+    if first:
+        items.sort(key=lambda item: item.path.name != first)
+
+
+def run_selection(copy: Path, selection: list[str], first: str | None = None) -> tuple[str, str]:
+    """Run pytest -x on ``selection`` in ``copy``, the tests of the file
+    named ``first`` first: (outcome, output), the outcome one of "passed",
+    "failed", "timeout" or "memory"."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "raise_audit"]
+    cmd += [*(["--audit-first", first] if first else []), *selection]
+    # The copy's own scripts hold this plugin; its pytest config puts its own src first.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "scripts")}
     proc = subprocess.Popen(
         cmd,
         cwd=copy,
@@ -129,7 +147,7 @@ def main(argv=None) -> int:
         for site, path, original, mutant in mutants:
             path.write_text(mutant)
             try:
-                outcome, _ = run_selection(copy, selection)
+                outcome, _ = run_selection(copy, selection, f"test_{path.stem}.py")
             finally:
                 path.write_text(original)
             if outcome == "passed":

@@ -2,8 +2,8 @@
 
 An :class:`~jlproj.core.InputBatch` is cut into chunks of consecutive rows,
 each capped by a fixed scratch budget.  A chunk is a row slice ``X`` of the
-batch (a view of the dense ``(c, d)`` block, or a CSR matrix built from the
-slice's values and indices).
+batch (a view of the dense ``(c, d)`` block, or a CSR matrix that reads the
+slice's value rows in place, with its own int32 indices).
 
 A dense transform is projected in row blocks of at most
 ``_SCRATCH_BYTES // (8 d)`` rows (:meth:`~jlproj.constructions.
@@ -136,14 +136,15 @@ def _chunk_products(transform: Transform, xs: InputBatch, rows: int):
         values = xs.values[start : start + rows]
         c = len(values)
         # int32 indices and indptr keep scipy from widening the indices to
-        # int64; it still copies the values of a chunk that is a view of
-        # less than half the batch (its _prune_array).
-        indices = pos[xs.indices[start : start + rows]].ravel()
-        X = csr_array((values.ravel(), indices, indptr[: c + 1]), shape=(c, len(op)))
+        # int64.  They and the values are set on an empty array: the
+        # constructor's check would copy values that view less than half the
+        # batch (its prune), so the chunk reads the batch's value rows in place.
+        X = csr_array((c, len(op)))
+        X.data, X.indices, X.indptr = values.ravel(), pos[xs.indices[start : start + rows]].ravel(), indptr[: c + 1]
         Y = X @ op
         # Drop this chunk's CSR before Y is handed on, so that it is not
         # held while the next chunk's is built.
-        del indices, X
+        del X
         yield start, Y
 
 

@@ -48,6 +48,16 @@ def _densify(x):
     return dense
 
 
+def _traced_peak(transform, xs):
+    """Peak bytes traced while ``distortion_batch(transform, xs)`` runs."""
+    tracemalloc.start()
+    try:
+        distortion_batch(transform, xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _stack(xs):
     """One batch of vectors that share storage and nnz."""
     indices = None if xs[0].indices is None else np.array([x.indices for x in xs])
@@ -513,33 +523,39 @@ class TestSupportOperator:
         transform = sample_transform(DenseGaussian(), 400, 10_000, SeedSpec(82, 0))
         transform.entries
         xs = sample_sparse_unit_batch(10_000, 5, 500, SeedSpec(82, 1))
-        tracemalloc.start()
-        try:
-            distortion_batch(transform, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 << 20
+        assert _traced_peak(transform, xs) <= 12 << 20
+
+    def _chunked_batch(self, k):
+        """(xs, u, rows): a d = 10^4, t = 1000 batch of 1200 rows, cut into
+        chunks of ``rows`` rows, with its support and norms cached so that
+        tracing sees only the projection."""
+        xs = sample_sparse_unit_batch(10_000, 1000, 1200, SeedSpec(86, 1))
+        xs.norms
+        rows = apply_module._SCRATCH_BYTES // (8 * (2 * 1000 + k))
+        assert 2 * rows < len(xs)
+        return xs, len(xs.support), rows
 
     def test_graph_peak_is_the_operator_and_one_chunk(self):
         """A graph x sparse call holds its (u, k) operator, the layout's rows
-        and signs, and one chunk: its values (copied by scipy, as a chunk is
-        a view of less than half the batch), int32 indices and output.
-        Indices widened to int64 would add 8 bytes an entry, 4 MB here."""
-        d, t, n, k, s = 10_000, 1000, 1200, 50, 16
-        layout = sample_transform(GraphSparse(s), k, d, SeedSpec(86, 0))
-        xs = sample_sparse_unit_batch(d, t, n, SeedSpec(86, 1))
-        u = len(xs.support)  # the support and the norms are cached before tracing
-        xs.norms
-        rows = apply_module._SCRATCH_BYTES // (8 * (2 * t + k))
-        assert 2 * rows < n
-        tracemalloc.start()
-        try:
-            distortion_batch(layout, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= u * k * 8 + u * s * 16 + rows * (t * (8 + 4) + k * 8) + (1 << 20)
+        and signs, and one chunk: its int32 indices and its output.  The
+        chunk reads the batch's value rows in place; scipy's copy of them
+        (made for a view of less than half the batch) would add 4 MB here,
+        and indices widened to int64 another 4 MB."""
+        d, t, k, s = 10_000, 1000, 50, 16
+        xs, u, rows = self._chunked_batch(k)
+        peak = _traced_peak(sample_transform(GraphSparse(s), k, d, SeedSpec(86, 0)), xs)
+        assert peak <= u * k * 8 + u * s * 16 + rows * (t * 4 + k * 8) + (1 << 20)
+
+    def test_achlioptas_peak_is_the_operator_and_its_build_or_one_chunk(self):
+        """A dense transform x sparse call holds its (u, k) operator and the
+        larger of what builds it (one float64 row block and, for Achlioptas,
+        its byte draw) and one chunk (int32 indices and output)."""
+        d, t, k = 10_000, 1000, 50
+        xs, u, rows = self._chunked_batch(k)
+        transform = sample_transform(AchlioptasSparse(), k, d, SeedSpec(86, 0))
+        build = min(k, apply_module._block_rows(transform)) * d * 8 + k * d
+        peak = _traced_peak(transform, xs)
+        assert peak <= u * k * 8 + max(build, rows * (t * 4 + k * 8)) + (1 << 20)
 
 
 class TestRowBlocks:
@@ -617,11 +633,5 @@ class TestRowBlocks:
         also holds its k*d byte draw."""
         xs = sample_unit_sphere_batch(10_000, 20, SeedSpec(94, 1))
         transform = sample_transform(kind, 400, 10_000, SeedSpec(94, 0))
-        tracemalloc.start()
-        try:
-            distortion_batch(transform, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         block = 104 * 10_000 * 8
-        assert peak <= extra + block + (1 << 20)
+        assert _traced_peak(transform, xs) <= extra + block + (1 << 20)
