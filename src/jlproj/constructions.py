@@ -14,11 +14,8 @@ is exactly the (d, k) CSR matrix that projection multiplies by.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -42,9 +39,8 @@ class DenseTransform:
 
     A sampled transform is its recipe ``(kind, k, d, seed)``: nothing is
     drawn until :meth:`row_blocks` draws its entries a block of rows at a
-    time, or :attr:`entries` is read.  A transform that is loaded or built
-    in code passes its ``entries`` in; they must have shape (k, d) and be
-    finite.
+    time, or :attr:`entries` is read.  A transform that is built in code
+    passes its ``entries`` in; they must have shape (k, d) and be finite.
     """
 
     def __init__(
@@ -99,7 +95,7 @@ def _drawn_blocks(kind: ConstructionKind, k: int, d: int, seed: SeedSpec, bounds
         # numpy buffers uint8 draws within one call, so the bytes are one
         # (k, d) draw; splitting it would change them.
         u = rng.integers(0, 6, size=(k, d), dtype=np.uint8)
-    buf = np.empty((max(np.diff(bounds)), d))
+    buf = np.empty((max(b - a for a, b in zip(bounds, bounds[1:])), d))
     for a, b in zip(bounds, bounds[1:]):
         block = buf[: b - a]
         if isinstance(kind, DenseGaussian):
@@ -141,7 +137,6 @@ class SparseColumnLayout:
     s: int
     rows: np.ndarray
     signs: np.ndarray
-    seed: SeedSpec | None = None
 
     def __post_init__(self) -> None:
         if self.d < 1 or not 1 <= self.s <= self.k:
@@ -217,90 +212,6 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
         signs -= 1.0
         rows.setflags(write=False)
         signs.setflags(write=False)
-        return SparseColumnLayout(k=k, d=d, s=kind.s, rows=rows, signs=signs, seed=seed)
+        return SparseColumnLayout(k=k, d=d, s=kind.s, rows=rows, signs=signs)
     return DenseTransform(k=k, d=d, entries=None, kind=kind, seed=seed)
 
-
-# ---------------------------------------------------------------------------
-# Binary serialization (little-endian, versioned header; see README)
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"JLPX"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIBQQQBQQ")  # magic, version, kind, k, d, s, has_seed, master, stream
-_KIND_CODES = {DenseGaussian: 0, Rademacher: 1, AchlioptasSparse: 2, GraphSparse: 3}
-
-
-def save_transform(transform: Transform, path: str | Path) -> None:
-    """Write a transform to ``path`` in the versioned binary format."""
-    if isinstance(transform, SparseColumnLayout):
-        kind_code, s = _KIND_CODES[GraphSparse], transform.s
-    else:
-        kind_code, s = _KIND_CODES[type(transform.kind)], 0
-    seed = transform.seed
-    header = _HEADER.pack(
-        _MAGIC,
-        _FORMAT_VERSION,
-        kind_code,
-        transform.k,
-        transform.d,
-        s,
-        0 if seed is None else 1,
-        0 if seed is None else seed.master_seed,
-        0 if seed is None else seed.stream_id,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if isinstance(transform, SparseColumnLayout):
-            fh.write(transform.rows.astype("<i8").tobytes())
-            fh.write(transform.signs.astype("<i1").tobytes())
-        else:
-            fh.write(transform.entries.astype("<f8").tobytes())
-
-
-def load_transform(path: str | Path) -> Transform:
-    """Read a transform written by :func:`save_transform`.
-
-    The file is checked before anything is allocated from its header: the
-    payload must have exactly the size the header implies.  The loaded
-    transform then passes its type's own checks (for a graph layout: rows
-    in [0, k), strictly increasing per column, +-1 signs, 1 <= s <= k).
-    Any violation raises a one-line ValueError naming the file.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise ValueError(f"{path}: truncated transform file")
-        magic, version, kind_code, k, d, s, has_seed, master, stream = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a transform file (bad magic {magic!r})")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        kind_types = {code: cls for cls, code in _KIND_CODES.items()}
-        if kind_code not in kind_types:
-            raise ValueError(f"{path}: unknown construction code {kind_code}")
-        graph = kind_types[kind_code] is GraphSparse
-        if k < 1 or d < 1:
-            raise ValueError(f"{path}: transform shape must be positive, got k={k}, d={d}")
-        if not graph and s != 0:
-            raise ValueError(f"{path}: dense transform header has s={s}, expected 0")
-        expected = 9 * d * s if graph else 8 * k * d
-        size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size < expected:
-            raise ValueError(f"{path}: truncated payload of {size} bytes, header needs {expected}")
-        if size > expected:
-            raise ValueError(f"{path}: {size - expected} trailing bytes after the payload")
-        payload = fh.read(expected)
-    seed = SeedSpec(master, stream) if has_seed else None
-    try:
-        if graph:
-            rows = np.frombuffer(payload, dtype="<i8", count=d * s).reshape(d, s).astype(np.int64)
-            signs = np.frombuffer(payload, dtype="<i1", offset=8 * d * s).reshape(d, s).astype(np.float64)
-            rows.setflags(write=False)
-            signs.setflags(write=False)
-            return SparseColumnLayout(k=k, d=d, s=s, rows=rows, signs=signs, seed=seed)
-        entries = np.frombuffer(payload, dtype="<f8").reshape(k, d).astype(np.float64)
-        entries.setflags(write=False)
-        return DenseTransform(k=k, d=d, entries=entries, kind=kind_types[kind_code](), seed=seed)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -1,8 +1,7 @@
-"""Tests for transform sampling: layouts, value sets, statistics, serialization."""
+"""Tests for transform sampling: layouts, value sets, statistics."""
 
 import itertools
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -17,9 +16,7 @@ from jlproj.constructions import (
     DenseTransform,
     ResourceLimitError,
     SparseColumnLayout,
-    load_transform,
     sample_transform,
-    save_transform,
 )
 from jlproj.core import (
     AchlioptasSparse,
@@ -33,11 +30,6 @@ from jlproj.core import (
 )
 
 ALL_KINDS = [DenseGaussian(), Rademacher(), AchlioptasSparse(), GraphSparse(8)]
-
-
-def _load_error(path, message):
-    """pytest.raises for load_transform's one-line error: the file's path, then exactly ``message``."""
-    return pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$")
 
 
 class TestGraphSparseLayout:
@@ -257,139 +249,3 @@ class TestUnbiasedness:
         se = deltas.std(ddof=1) / math.sqrt(deltas.size)
         assert abs(deltas.mean()) <= 4.0 * se
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
-    def test_round_trip(self, kind, tmp_path):
-        original = sample_transform(kind, 12, 30, SeedSpec(77, 5))
-        path = tmp_path / "transform.bin"
-        save_transform(original, path)
-        loaded = load_transform(path)
-        assert loaded.k == original.k and loaded.d == original.d
-        assert loaded.seed == SeedSpec(77, 5)
-        if isinstance(original, SparseColumnLayout):
-            assert isinstance(loaded, SparseColumnLayout)
-            assert loaded.s == original.s
-            assert np.array_equal(loaded.rows, original.rows)
-            assert np.array_equal(loaded.signs, original.signs)
-        else:
-            assert isinstance(loaded, DenseTransform)
-            assert loaded.kind == original.kind
-            assert np.array_equal(loaded.entries, original.entries)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_entry_rejected(self, bad, tmp_path):
-        """A dense file with a NaN or infinite entry fails to load, naming the file."""
-        path = tmp_path / "d.bin"
-        save_transform(sample_transform(DenseGaussian(), 3, 4, SeedSpec(0, 2)), path)
-        blob = bytearray(path.read_bytes())
-        blob[-8:] = np.array([bad], dtype="<f8").tobytes()
-        path.write_bytes(bytes(blob))
-        with _load_error(path, "entries must be finite"):
-            load_transform(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with _load_error(path, "not a transform file (bad magic b'NOPE')"):
-            load_transform(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"JL")
-        with _load_error(path, "truncated transform file"):
-            load_transform(path)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        t = sample_transform(Rademacher(), 3, 4, SeedSpec(0, 0))
-        path = tmp_path / "t.bin"
-        save_transform(t, path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 99
-        path.write_bytes(bytes(blob))
-        with _load_error(path, "unsupported format version 99"):
-            load_transform(path)
-
-    @staticmethod
-    def _dense_file(path, k, d, s, code=1):
-        """A file with construction code ``code`` (Rademacher by default),
-        header (k, d, s) and k * d zero entries."""
-        header = constructions._HEADER.pack(b"JLPX", 1, code, k, d, s, 0, 0, 0)
-        path.write_bytes(header + bytes(8 * k * d))
-
-    def test_unknown_construction_code_rejected(self, tmp_path):
-        path = tmp_path / "r.bin"
-        self._dense_file(path, 3, 4, 0, code=7)
-        with _load_error(path, "unknown construction code 7"):
-            load_transform(path)
-
-    @pytest.mark.parametrize("k,d", [(0, 4), (3, 0)])
-    def test_non_positive_shape_rejected(self, k, d, tmp_path):
-        """Such a header implies an empty payload, and the file has one, so only the shape check refuses it."""
-        path = tmp_path / "r.bin"
-        self._dense_file(path, k, d, 0)
-        with _load_error(path, f"transform shape must be positive, got k={k}, d={d}"):
-            load_transform(path)
-
-    def test_dense_header_with_s_rejected(self, tmp_path):
-        path = tmp_path / "r.bin"
-        self._dense_file(path, 3, 4, 2)
-        with _load_error(path, "dense transform header has s=2, expected 0"):
-            load_transform(path)
-
-    @staticmethod
-    def _graph_file(tmp_path):
-        layout = sample_transform(GraphSparse(2), 10, 4, SeedSpec(0, 1))
-        path = tmp_path / "g.bin"
-        save_transform(layout, path)
-        return path, bytearray(path.read_bytes())
-
-    def test_row_outside_k_rejected(self, tmp_path):
-        path, blob = self._graph_file(tmp_path)
-        header = len(blob) - 9 * 4 * 2
-        blob[header + 8 : header + 16] = (99).to_bytes(8, "little")  # column 0, second row
-        path.write_bytes(bytes(blob))
-        with _load_error(path, "row index outside [0, 10)"):
-            load_transform(path)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path, blob = self._graph_file(tmp_path)
-        path.write_bytes(bytes(blob[:-3]))
-        with _load_error(path, "truncated payload of 69 bytes, header needs 72"):
-            load_transform(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path, blob = self._graph_file(tmp_path)
-        path.write_bytes(bytes(blob) + b"\x00")
-        with _load_error(path, "1 trailing bytes after the payload"):
-            load_transform(path)
-
-    def test_huge_header_rejected_before_allocating(self, tmp_path):
-        path, blob = self._graph_file(tmp_path)
-        blob[17:25] = (1 << 40).to_bytes(8, "little")  # d
-        path.write_bytes(bytes(blob))
-        with _load_error(path, f"truncated payload of 72 bytes, header needs {9 * 2 * (1 << 40)}"):
-            load_transform(path)
-
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_mutated_file_rejected_or_valid(self, data, tmp_path_factory):
-        """Any byte mutation either raises ValueError or loads a valid layout."""
-        path, blob = self._graph_file(tmp_path_factory.mktemp("mut"))
-        for _ in range(data.draw(st.integers(1, 4))):
-            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
-        cut = data.draw(st.integers(0, 3))
-        path.write_bytes(bytes(blob[: len(blob) - cut]) + data.draw(st.binary(max_size=2)))
-        try:
-            loaded = load_transform(path)
-        except ValueError as exc:
-            assert "\n" not in str(exc) and str(path) in str(exc)
-            return
-        if isinstance(loaded, SparseColumnLayout):
-            assert 1 <= loaded.s <= loaded.k
-            assert loaded.rows.shape == loaded.signs.shape == (loaded.d, loaded.s)
-            assert np.all((loaded.rows >= 0) & (loaded.rows < loaded.k))
-            assert np.all(np.diff(loaded.rows, axis=1) > 0)
-            assert np.all(np.abs(loaded.signs) == 1.0)
-        else:
-            assert loaded.entries.shape == (loaded.k, loaded.d)

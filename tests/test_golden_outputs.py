@@ -9,10 +9,20 @@ the d = 10^4 sweep-k case projects k = 200 and k = 400 in several blocks
 (two and four of at most 104 rows), on dense inputs cut into two chunks.
 The d = 10^4 sweep-t case meets sparse batches through support operators
 that cover part of the columns (t = 1 and 100) and all of them (t = 1000).
+
+The digests were captured on OpenBLAS's SkylakeX kernel with 2 BLAS
+threads.  Dense-transform x dense-input rows come from a BLAS GEMM and
+every |y|^2 from a BLAS matmul, both summing in the kernel's order, so
+the sweep-s and sweep-k digests hold for that kernel and thread count
+only.  The cdf and sweep-t digests also hold at one BLAS thread, which
+test_cdf_and_sweep_t_match_golden_at_one_blas_thread checks.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +70,26 @@ def test_sweep_t_through_support_operators_matches_golden(tmp_path):
     out = tmp_path / "out.csv"
     assert cli_main(["sweep-t", *SUPPORT_ARGS, "--out", str(out)]) == 0
     assert _sha256(out) == SUPPORT_CSV
+
+
+def test_cdf_and_sweep_t_match_golden_at_one_blas_thread(tmp_path):
+    """The desk cdf (CSV and tail CSV), the desk sweep-t and the d = 10^4
+    sweep-t keep their digests under OPENBLAS_NUM_THREADS=1, which is read
+    when OpenBLAS loads, hence the fresh interpreter."""
+    runs = {
+        "cdf": ["cdf", *GOLDEN["args"]],
+        "sweep-t": ["sweep-t", *GOLDEN["args"]],
+        "support": ["sweep-t", *SUPPORT_ARGS],
+    }
+    code = (
+        "from jlproj.cli import cli_main\n"
+        f"for name, args in {runs!r}.items():\n"
+        f"    assert cli_main([*args, '--out', {str(tmp_path)!r} + '/' + name + '.csv']) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(tmp_path / "cdf.csv") == GOLDEN["outputs"]["cdf"]["csv"]
+    assert _sha256(tmp_path / "cdf.tail.csv") == GOLDEN["outputs"]["cdf"]["tail.csv"]
+    assert _sha256(tmp_path / "sweep-t.csv") == GOLDEN["outputs"]["sweep-t"]["csv"]
+    assert _sha256(tmp_path / "support.csv") == SUPPORT_CSV

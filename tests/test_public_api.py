@@ -36,7 +36,6 @@ PUBLIC = [
     "fourth_moment_check",
     "gaussian_variance_check",
     "hypergeometric_pmf",
-    "load_transform",
     "quantile",
     "required_k",
     "run_cdf",
@@ -49,7 +48,6 @@ PUBLIC = [
     "sample_transform",
     "sample_unit_sphere",
     "sample_unit_sphere_batch",
-    "save_transform",
     "tail_bound_report",
 ]
 
