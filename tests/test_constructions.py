@@ -16,6 +16,7 @@ from jlproj.constructions import (
     DenseTransform,
     ResourceLimitError,
     SparseColumnLayout,
+    check_transform_budget,
     sample_transform,
 )
 from jlproj.core import (
@@ -64,12 +65,67 @@ class TestGraphSparseLayout:
             (2, [[0, 1], [1, 2], [3, 4]], [[1, 3], [1, 1], [1, -1]], "signs"),
             (2, [[0, 1], [1, 2]], [[1, 1], [1, 1]], "shape"),
             (11, [[0] * 11] * 3, [[1] * 11] * 3, "1 <= s <= k"),
+            (0, [[]] * 3, [[]] * 3, r"^need d >= 1 and 1 <= s <= k, got d=3, s=0, k=10$"),
         ],
-        ids=["row-outside-k", "duplicate-rows-and-sign-3", "sign-3", "wrong-shape", "s-above-k"],
+        ids=["row-outside-k", "duplicate-rows-and-sign-3", "sign-3", "wrong-shape", "s-above-k", "s-zero"],
     )
     def test_invalid_layout_built_in_code_rejected(self, s, rows, signs, match):
         with pytest.raises(ValueError, match=match):
             SparseColumnLayout(k=10, d=3, s=s, rows=np.array(rows), signs=np.array(signs, dtype=np.float64))
+
+    def test_layout_without_columns_rejected(self):
+        """d = 0 is refused before the empty rows are inspected."""
+        empty = np.zeros((0, 2))
+        with pytest.raises(ValueError, match=r"^need d >= 1 and 1 <= s <= k, got d=0, s=2, k=10$"):
+            SparseColumnLayout(k=10, d=0, s=2, rows=empty.astype(np.int64), signs=empty)
+
+    def test_valid_layout_built_in_code_accepted(self):
+        rows = np.array([[0, 9], [1, 2], [3, 4]])
+        signs = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]])
+        layout = SparseColumnLayout(k=10, d=3, s=2, rows=rows, signs=signs)
+        assert layout.rows is rows and layout.signs is signs
+        assert layout.scale == 1.0 / math.sqrt(2)
+
+    def test_draw_convention(self):
+        """All column row-subsets first, then a (d, s) block of integers(0, 2)
+        signs mapped 1 -> +1 and 0 -> -1."""
+        k, s, d = 20, 5, 30
+        rng = derive_stream(SeedSpec(6, 1))
+        rows = sample_without_replacement(k, s, rng, count=d)
+        signs = np.where(rng.integers(0, 2, size=(d, s)) == 1, 1.0, -1.0)
+        layout = sample_transform(GraphSparse(s), k, d, SeedSpec(6, 1))
+        assert np.array_equal(layout.rows, rows)
+        assert np.array_equal(layout.signs, signs)
+
+    @given(
+        k=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_layout_satisfies_its_invariants(self, k, d, seed, data):
+        """A sampled layout rebuilt from its own fields passes construction's checks."""
+        s = data.draw(st.integers(min_value=1, max_value=k))
+        layout = sample_transform(GraphSparse(s), k, d, SeedSpec(seed, 0))
+        assert (layout.k, layout.d, layout.s) == (k, d, s)
+        assert layout.rows.shape == layout.signs.shape == (d, s)
+        assert layout.signs.dtype == np.float64
+        SparseColumnLayout(k=k, d=d, s=s, rows=layout.rows.copy(), signs=layout.signs.copy())
+
+    def test_sampled_layout_is_read_only(self):
+        layout = sample_transform(GraphSparse(3), 10, 20, SeedSpec(6, 2))
+        assert not layout.rows.flags.writeable and not layout.signs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            layout.signs[0, 0] = 1.0
+
+    def test_layout_budget_counts_d_times_s(self):
+        """The graph construction stores d * s entries, so k * d above the
+        budget passes and d * s above it is refused."""
+        check_transform_budget(GraphSparse(16), 1 << 20, 1 << 20)
+        d = (MAX_DENSE_ENTRIES >> 4) + 1
+        with pytest.raises(ResourceLimitError, match=rf"^graph layout of {d}x16 entries exceeds the "):
+            check_transform_budget(GraphSparse(16), 1 << 20, d)
 
 
 class TestDenseKinds:
@@ -141,6 +197,30 @@ class TestDenseKinds:
         assert abs(t.entries.mean()) <= 4.0 / math.sqrt(n * k)
         assert abs(t.entries.var() - 1.0 / k) <= 4.0 * (1.0 / k) * math.sqrt(2.0 / n)
 
+    def test_gaussian_draw_convention(self):
+        """One (k, d) standard_normal block divided by sqrt(k)."""
+        k, d = 7, 11
+        expected = derive_stream(SeedSpec(5, 1)).standard_normal((k, d)) / np.sqrt(k)
+        assert np.array_equal(sample_transform(DenseGaussian(), k, d, SeedSpec(5, 1)).entries, expected)
+
+    def test_achlioptas_draw_convention(self):
+        """One (k, d) block of integers(0, 6, dtype=uint8) bytes: 0 -> +sqrt(3/k),
+        1 -> -sqrt(3/k), the rest -> 0."""
+        k, d = 7, 11
+        u = derive_stream(SeedSpec(5, 2)).integers(0, 6, size=(k, d), dtype=np.uint8)
+        v = np.sqrt(3.0 / k)
+        expected = np.where(u == 0, v, np.where(u == 1, -v, 0.0))
+        assert np.array_equal(sample_transform(AchlioptasSparse(), k, d, SeedSpec(5, 2)).entries, expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS[:3], ids=lambda k: type(k).__name__)
+    def test_entries_are_read_only_and_kept(self, kind):
+        t = sample_transform(kind, 4, 9, SeedSpec(5, 3))
+        entries = t.entries
+        assert t.entries is entries
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0, 0] = 0.0
+
     @pytest.mark.parametrize("k,d", [(0, 5), (5, 0)])
     def test_invalid_shapes(self, k, d):
         with pytest.raises(ValueError):
@@ -175,6 +255,15 @@ class TestDenseKinds:
         c = sample_transform(DenseGaussian(), 8, 16, SeedSpec(2, 1))
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
+
+
+class TestSampleTransformChecks:
+    @pytest.mark.parametrize("k,d", [(0, 4), (3, 0)])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+    def test_non_positive_shape_rejected(self, kind, k, d):
+        """The shape is checked first, also for a graph construction whose s exceeds k = 0."""
+        with pytest.raises(ValueError, match=rf"^transform shape must be positive, got k={k}, d={d}$"):
+            sample_transform(kind, k, d, SeedSpec(0, 0))
 
 
 class TestRowSampling:
