@@ -8,18 +8,18 @@ experiment subcommand writes its CSV to --out plus a JSON run manifest
 directory of --out must exist and each of these files must be absent or
 a regular file, all checked before any sampling.  Exit codes: 0 on
 success, 1 when `verify` finds failing checks, 2 on invalid arguments
-(including a missing output directory, an empty --probes, an infinite
-or out-of-order cdf grid or tail table, and a swept axis that is empty
-or repeats a value, each checked before any sampling), 3
+(including a missing output directory, a sweep's empty --probes, an
+infinite or out-of-order cdf grid or tail table, and a swept axis that
+is empty or repeats a value, each checked before any sampling), 3
 when an input block, a cell's delta block, any cell's transform or a cdf
-grid would exceed the memory budget (also checked before any sampling)
-or an output cannot be written (including an output path naming a
-directory, FIFO or other file that is not a regular file).  Outputs are
-written to a temp file and renamed into place.  Errors print one
-`error: ...` line on stderr.  A negative value with an exponent needs
-the `=` form, `--grid-min=-1e-3`: argparse's negative-number pattern has
-no exponent, so in `--grid-min -1e-3` it reads `-1e-3` as an option and
-exits 2.
+grid would exceed the memory budget (also checked before any sampling),
+the machine refuses an allocation (MemoryError), or an output cannot be
+written (including an output path naming a directory, FIFO or other file
+that is not a regular file).  Outputs are written to a temp file and
+renamed into place.  Errors print one `error: ...` line on stderr.  A
+negative value with an exponent needs the `=` form, `--grid-min=-1e-3`:
+argparse's negative-number pattern has no exponent, so in `--grid-min
+-1e-3` it reads `-1e-3` as an option and exits 2.
 
 The JL_THREADS environment variable sets how many threads run experiment
 cells (unset means 1).  It is read once, before anything else runs; a
@@ -38,10 +38,7 @@ from pathlib import Path
 from .constructions import ResourceLimitError
 from .experiments import (
     DEFAULT_K_GRID,
-    DEFAULT_S_GRID,
-    DEFAULT_T_GRID,
     DESK_SCALE,
-    PAPER_SCALE,
     ExperimentConfig,
     GridSpec,
     required_k,
@@ -80,18 +77,18 @@ def _worker_count() -> int:
 
 
 def _experiment_parser(sub, command: str, help: str, axis: str | None) -> argparse.ArgumentParser:
-    """Subparser with the scale flags and --k, --s, --t; the swept `axis`
-    takes a comma list, the others default to ExperimentConfig's."""
+    """Subparser with the scale flags and --k, --s, --t; a sweep's `axis`
+    takes a comma list, the others default to ExperimentConfig's, and
+    only a sweep takes --probes."""
     parser = sub.add_parser(command, help=help)
     parser.add_argument("--n", type=int, help="input vectors per experiment")
     parser.add_argument("--d", type=int, help="ambient dimension")
     parser.add_argument("--trials", type=int, help="independent transform instances")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--probes", type=_float_list, default=ExperimentConfig.probes, help="quantile probes")
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help=f"use n={PAPER_SCALE['n']}, d={PAPER_SCALE['d']}, trials={PAPER_SCALE['trials']} defaults",
+        help=f"use n={ExperimentConfig.n}, d={ExperimentConfig.d}, trials={ExperimentConfig.trials} defaults",
     )
     parser.add_argument("--out", required=True, help="CSV output path")
     for name in ("k", "s", "t"):
@@ -99,20 +96,21 @@ def _experiment_parser(sub, command: str, help: str, axis: str | None) -> argpar
             parser.add_argument(f"--{name}", type=_int_list, default=None, help=f"comma list of {name} values")
         else:
             parser.add_argument(f"--{name}", type=int, default=getattr(ExperimentConfig, name))
+    if axis is not None:
+        parser.add_argument("--probes", type=_float_list, default=ExperimentConfig.probes, help="quantile probes")
     return parser
 
 
 def _build_config(args, **sizes) -> ExperimentConfig:
-    """The run's config; `sizes` overrides the --k, --s or --t a sweep varies."""
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
+    """The run's config: --n, --d and --trials, else desk scale, or paper
+    scale (ExperimentConfig's defaults) with --paper-scale; `sizes`
+    overrides the --k, --s or --t a sweep varies."""
+    given = {name: getattr(args, name) for name in DESK_SCALE if getattr(args, name) is not None}
     return ExperimentConfig(
-        n=args.n if args.n is not None else scale["n"],
-        d=args.d if args.d is not None else scale["d"],
-        trials=args.trials if args.trials is not None else scale["trials"],
         master_seed=args.seed,
         constructions=tuple(getattr(args, "constructions", None) or ExperimentConfig.constructions),
-        probes=tuple(args.probes),
-        **{"k": args.k, "s": args.s, "t": args.t, **sizes},
+        probes=tuple(getattr(args, "probes", ExperimentConfig.probes)),
+        **{**({} if args.paper_scale else DESK_SCALE), **given, "k": args.k, "s": args.s, "t": args.t, **sizes},
     )
 
 
@@ -134,13 +132,6 @@ def _output_paths(out: str, *suffixes: str) -> list[Path]:
     if not first.parent.is_dir():
         raise ValueError(f"output directory {first.parent} is not an existing directory")
     return [regular(first), *(regular(first.with_suffix(suffix)) for suffix in suffixes)]
-
-
-def _write_sweep(paths: list[Path], cfg: ExperimentConfig, result, started_at: str) -> None:
-    out, manifest = paths
-    write_sweep_csv(result, out)
-    extra = {"axis": {"name": result.axis_name, "values": list(result.axis_values)}}
-    write_manifest(manifest, cfg, started_at, extra)
 
 
 # cdf's grid flags, in the order of the GridSpec fields they set.
@@ -179,26 +170,20 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
 
     started_at = datetime.now(timezone.utc).isoformat()
+    # Built per call, so a runner rebound on this module (a tracer, a test stub) is the one run.
+    sweeps = {"sweep-s": run_sparsity_sweep, "sweep-t": run_input_sparsity_sweep, "sweep-k": run_k_sweep}
     try:
         workers = _worker_count()
-        if args.command == "sweep-s":
-            paths = _output_paths(args.out, ".manifest.json")
-            cfg = _build_config(args, s=1)
-            s_values = args.s if args.s is not None else [s for s in DEFAULT_S_GRID if s <= cfg.k]
-            result = run_sparsity_sweep(cfg, s_values, workers)
-            _write_sweep(paths, cfg, result, started_at)
-        elif args.command == "sweep-t":
-            paths = _output_paths(args.out, ".manifest.json")
-            cfg = _build_config(args, t=1)
-            t_values = args.t if args.t is not None else [t for t in DEFAULT_T_GRID if t <= cfg.d]
-            result = run_input_sparsity_sweep(cfg, t_values, workers)
-            _write_sweep(paths, cfg, result, started_at)
-        elif args.command == "sweep-k":
-            paths = _output_paths(args.out, ".manifest.json")
-            k_values = args.k if args.k is not None else [k for k in DEFAULT_K_GRID if k >= args.s]
-            cfg = _build_config(args, k=max([*k_values, args.s]))
-            result = run_k_sweep(cfg, k_values, workers)
-            _write_sweep(paths, cfg, result, started_at)
+        if args.command in sweeps:
+            out, manifest = _output_paths(args.out, ".manifest.json")
+            axis = args.command[-1]
+            values = getattr(args, axis)
+            # The config's swept size is a stand-in: s = t = 1, k = max(k values, s).
+            stand_in = max([*(DEFAULT_K_GRID if values is None else values), args.s]) if axis == "k" else 1
+            cfg = _build_config(args, **{axis: stand_in})
+            result = sweeps[args.command](cfg, values, workers)
+            write_sweep_csv(result, out)
+            write_manifest(manifest, cfg, started_at, {"axis": {"name": axis, "values": list(result.axis_values)}})
         elif args.command == "cdf":
             out, manifest, tail = _output_paths(args.out, ".manifest.json", ".tail.csv")
             cfg = _build_config(args)
@@ -223,7 +208,7 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, OSError) as exc:
+    except (ResourceLimitError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -9,6 +9,10 @@ derived off the config's master seed:
     cell c, trial i    -> stream TRANSFORM_ROLE | c << 32 | i
     verify table row r -> stream VERIFY_ROLE | r << 32 (+ offsets inside)
 
+with VECTOR_ROLE = 1 << 60, TRANSFORM_ROLE = 2 << 60, VERIFY_ROLE = 3 << 60;
+batch 0 is the dense input and 1 the sparse one of sweep-s and sweep-k, 2 + i
+sweep-t's at its i-th t value, and 0 cdf's.
+
 Cells (construction x input family x axis value) are enumerated in a fixed
 order and may execute on a pool of ``workers`` threads; aggregation happens
 in cell order, so output bytes never depend on the schedule.  Each input
@@ -16,7 +20,8 @@ batch is drawn when the cells that share it start and is dropped when they
 end, so a run holds one input batch at a time.  The runners take
 ``workers`` from their caller (default 1) and do not read the JL_THREADS
 environment variable: only the CLI does, once, so a library call runs one
-thread unless it passes ``workers``.
+thread unless it passes ``workers``.  A sweep runner given None for its
+axis runs the values of its DEFAULT_*_GRID that lie in the axis's bounds.
 """
 
 from __future__ import annotations
@@ -67,9 +72,7 @@ _VERIFY_ROLE = 3 << 60
 
 SERIES_KINDS = ("Dense", "Ach", "Sparse")
 
-# Paper-scale experiment setup; CI-friendly desk scale is n=500, d=1000,
-# trials=10 (see desk_scale_config / the CLI --paper-scale flag).
-PAPER_SCALE = {"n": 5000, "d": 10000, "trials": 30}
+# CI-friendly sizes; paper scale is ExperimentConfig's own defaults.
 DESK_SCALE = {"n": 500, "d": 1000, "trials": 10}
 
 DEFAULT_S_GRID = (1, 2, 4, 8, 16, 32)
@@ -79,7 +82,7 @@ DEFAULT_K_GRID = (25, 50, 100, 200, 400)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full determinism contract for one experiment run."""
+    """Full determinism contract for one experiment run; the defaults are paper scale."""
 
     n: int = 5000
     d: int = 10000
@@ -261,10 +264,10 @@ def _sweep(
     return SweepResult(axis_name, tuple(axis_values), tuple(rows))
 
 
-def _axis(name: str, values, lo: int, hi: float) -> tuple[int, ...]:
-    """The swept values as ints, each in [lo, hi]; an empty axis or a
-    repeated value is rejected before any draw."""
-    values = tuple(int(v) for v in values)
+def _axis(name: str, values, default: tuple[int, ...], lo: int, hi: float) -> tuple[int, ...]:
+    """The swept values as ints, each in [lo, hi] (None: those of ``default``);
+    an empty axis or a repeated value is rejected before any draw."""
+    values = tuple(int(v) for v in ([v for v in default if lo <= v <= hi] if values is None else values))
     if not values:
         raise ValueError(f"the {name} axis needs at least one value")
     if len(set(values)) != len(values):
@@ -283,14 +286,14 @@ def _families(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> SweepResult:
+def run_sparsity_sweep(cfg: ExperimentConfig, s_values=None, workers: int = 1) -> SweepResult:
     """Distortion quantiles of the graph construction vs its column sparsity.
 
     Runs both input families with the Achlioptas series as the reference at
     every axis point (its statistics do not depend on s, so its cell is
     computed once per family and replicated).
     """
-    s_values = _axis("s", s_values, 1, cfg.k)
+    s_values = _axis("s", s_values, DEFAULT_S_GRID, 1, cfg.k)
     draws = _families(cfg)
     cells = []
     for family in draws:
@@ -306,14 +309,14 @@ def run_sparsity_sweep(cfg: ExperimentConfig, s_values, workers: int = 1) -> Swe
     return _sweep(cfg, "s", s_values, cells, draws, workers, order=order)
 
 
-def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) -> SweepResult:
+def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values=None, workers: int = 1) -> SweepResult:
     """Distortion quantiles vs input support size, graph construction at fixed s.
 
     Input vectors are redrawn per axis point (the axis changes the inputs);
     at t=1 the graph construction reproduces one column exactly, so its
     distortion rows are identically zero.
     """
-    t_values = _axis("t", t_values, 1, cfg.d)
+    t_values = _axis("t", t_values, DEFAULT_T_GRID, 1, cfg.d)
     check_entry_budget("sparse input block", cfg.n, max(t_values))  # every batch, before any is drawn
     draws = {
         t: partial(sample_sparse_unit_batch, cfg.d, t, cfg.n, SeedSpec(cfg.master_seed, _VECTOR_ROLE | (2 + ti)))
@@ -327,9 +330,9 @@ def run_input_sparsity_sweep(cfg: ExperimentConfig, t_values, workers: int = 1) 
     return _sweep(cfg, "t", t_values, cells, draws, workers)
 
 
-def run_k_sweep(cfg: ExperimentConfig, k_values, workers: int = 1) -> SweepResult:
+def run_k_sweep(cfg: ExperimentConfig, k_values=None, workers: int = 1) -> SweepResult:
     """|delta| quantiles vs target dimension for every configured construction."""
-    k_values = _axis("k", k_values, cfg.s if "Sparse" in cfg.constructions else 1, math.inf)
+    k_values = _axis("k", k_values, DEFAULT_K_GRID, cfg.s if "Sparse" in cfg.constructions else 1, math.inf)
     draws = _families(cfg)
     cells = [
         (construction, family, k, _series_kind(construction, cfg.s), k, family)

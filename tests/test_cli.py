@@ -128,8 +128,11 @@ def test_verify_lists_failed_checks(capsys, monkeypatch):
     assert "bad-check" in captured.err
 
 
-def test_unknown_flag_exits_two(tmp_path, capsys):
-    assert cli_main(["sweep-s", "--bogus", "1", "--out", str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("argv", [["sweep-s", "--bogus", "1"], ["cdf", "--probes", "0.5"]], ids=["bogus", "cdf-probes"])
+def test_unknown_flag_exits_two(argv, tmp_path, capsys):
+    """cdf pools every delta and reads no quantile probes, so it takes no --probes."""
+    assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_exits_two(capsys):
@@ -154,6 +157,16 @@ def test_sweep_k_accepts_s_above_default_grid(tmp_path):
     assert json.loads(out.with_suffix(".manifest.json").read_text())["config"]["k"] == 600
 
 
+def test_sweep_k_default_grid_ignores_s_without_the_graph_construction(tmp_path):
+    """Only the graph construction needs k >= s, so without it the whole default k grid runs."""
+    out = tmp_path / "x.csv"
+    argv = ["sweep-k", "--constructions", "Dense,Ach", "--s", "500", "--n", "5", "--d", "50", "--trials", "1"]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["axis"] == {"name": "k", "values": [25, 50, 100, 200, 400]}
+    assert manifest["config"]["k"] == 500
+
+
 _SMALL = ["--n", "5", "--d", "50", "--trials", "1"]
 
 
@@ -164,18 +177,16 @@ _SMALL = ["--n", "5", "--d", "50", "--trials", "1"]
         ["sweep-s", "--s", "", *_SMALL],
         ["sweep-k", "--k", "", *_SMALL],
         ["sweep-k", "--k", "20", "--probes", "", *_SMALL],
-        ["cdf", "--k", "20", "--probes", "", *_SMALL],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-3"],
         ["verify", "--pairs", "0"],
         ["verify", "--pairs", "1"],
         ["sweep-k", "--k", "20", "--probes", "0.5,0.99,0.5", *_SMALL],
-        ["cdf", "--k", "20", "--probes", "0.5,0.5", *_SMALL],
     ],
     ids=[
-        "empty-t", "empty-s", "empty-k", "sweep-k-empty-probes", "cdf-empty-probes",
+        "empty-t", "empty-s", "empty-k", "sweep-k-empty-probes",
         "trials-0", "trials-negative", "pairs-0", "pairs-1",
-        "sweep-k-repeated-probes", "cdf-repeated-probes",
+        "sweep-k-repeated-probes",
     ],
 )
 def test_invalid_run_size_exits_two(argv, tmp_path, capsys):
@@ -433,6 +444,25 @@ def test_bad_thread_count_exits_two_before_sampling(command, value, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+def test_refused_allocation_exits_three(tmp_path):
+    """An allocation inside the entry budget that the machine refuses is one
+    `error:` line and exit 3, not a traceback: a 2**29-column cdf draws its
+    supports from a 2 GiB index pool, above a 2 GiB address-space limit set
+    in the child only."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from jlproj.cli import cli_main\n"
+        "sys.exit(cli_main(['cdf', '--d', '536870912', '--k', '2', '--s', '1', '--t', '1', '--n', '1', "
+        f"'--trials', '1', '--constructions', 'Ach', '--out', {str(tmp_path / 'x.csv')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_layout_budget_exits_three_before_drawing(capsys, monkeypatch):
     """verify --pairs P streams the rows of a 2P-column layout: 2 * 40M * 16 entries."""
     from jlproj import constructions, stats
@@ -555,12 +585,10 @@ def _flags(command):
             for name in ("k", "s", "t")
         ),
         ("--seed", _ABSENT | st.integers(0, 2**64 - 1), st.integers(-(2**64), 2**65)),
-        (
-            "--probes",
-            _ABSENT | _comma_list(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, unique=True),
-            _comma_list(_ANY_FLOAT),
-        ),
     ]
+    if axis is not None:
+        probe = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        flags.append(("--probes", _ABSENT | _comma_list(probe, min_size=1, unique=True), _comma_list(_ANY_FLOAT)))
     if command in ("sweep-k", "cdf"):
         kinds = _comma_list(st.sampled_from(["Dense", "Ach", "Sparse"]), min_size=1, unique=True)
         flags.append(("--constructions", _ABSENT | kinds, _comma_list(st.sampled_from(["Dense", "Gauss", ""]))))

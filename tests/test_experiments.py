@@ -286,6 +286,22 @@ def test_one_input_batch_at_a_time(run, axis, batches, workers, monkeypatch):
     assert len(drawn) == batches
 
 
+@pytest.mark.parametrize(
+    "run,overrides,values",
+    [
+        (run_sparsity_sweep, dict(k=10, s=1), (1, 2, 4, 8)),
+        (run_input_sparsity_sweep, dict(d=20), (1, 2, 5, 10)),
+        (run_k_sweep, dict(s=30), (50, 100, 200, 400)),
+        (run_k_sweep, dict(s=30, constructions=("Dense", "Ach")), (25, 50, 100, 200, 400)),
+    ],
+    ids=["s", "t", "k", "k-without-graph"],
+)
+def test_omitted_axis_runs_the_default_grid(run, overrides, values):
+    """A runner called without its axis runs the CLI's default grid, cut to the axis's bounds."""
+    cfg = ExperimentConfig(**{"n": 5, "d": 50, "trials": 1, **overrides})
+    assert run(cfg).axis_values == values
+
+
 class TestCdf:
     def test_reaches_one_at_grid_max(self):
         result = run_cdf(_small_cfg(), GridSpec(lo=-1.0, hi=2.0, points=31))

@@ -2,10 +2,11 @@
 
 Runs `perfbench/child.py` with tracing on, at desk size, the way the
 benchmark starts one workload process, and checks what a traced run
-reports: every traced function is still bound, every graph-construction
-batch of sparse inputs touches exactly n*t*s entries, and the projected
-vector count is n * cells * trials.  Traced `verify` books every
-transform draw under the verification check that made it.
+reports: every traced function is still bound, the run is one
+`experiments.run` span, every graph-construction batch of sparse inputs
+touches exactly n*t*s entries, and the projected vector count is
+n * cells * trials.  Traced `verify` books every transform draw under the
+verification check that made it.
 """
 
 import json
@@ -57,6 +58,9 @@ def test_traced_run(argv, cells, graph_sparse_batches, tmp_path):
     assert all(touched == n_t_s for touched, n_t_s in pairs)
     assert result["layers"]["experiments.cells"] == cells
     assert result["layers"]["apply.vectors"] == N * cells * TRIALS
+    # cli_main must call the runner by its module name at run time, where the tracer wraps it.
+    spans = json.loads((tmp_path / "r.json.spans.json").read_text())["spans"]
+    assert [span[1] for span in spans].count("experiments.run") == 1
 
 
 def test_traced_verify(tmp_path):
