@@ -10,12 +10,12 @@ A dense transform is projected in row blocks of at most
 DenseTransform.row_blocks`): a sampled one is drawn a block at a time as
 it is projected, and the join of its blocks is the documented one-call
 draw, so no whole ``k x d`` transform is held; once its ``entries`` have
-been read the blocks are views of them.  The per-vector :func:`apply` and
-:func:`distortion` read them first, so a transform applied vector by
-vector is drawn once.  For a dense batch the whole
-``(n, k)`` output is filled block by block, ``Y[:, a:b] = X @ block.T`` per
-chunk, and the graph construction multiplies each chunk by the ``(d, k)``
-CSR matrix of its ±1 signs.
+been read the blocks are views of them.  :func:`apply` and
+:func:`distortion` take one input, a one-row batch such as ``batch[i]``,
+and read them first, so a transform applied vector by vector is drawn
+once.  For a dense batch the whole ``(n, k)`` output is filled block by
+block, ``Y[:, a:b] = X @ block.T`` per chunk, and the graph construction
+multiplies each chunk by the ``(d, k)`` CSR matrix of its ±1 signs.
 
 A sparse batch meets every family through one C-ordered float64 ``(u, k)``
 support operator ``op``, whose row j is the transform's column at the
@@ -54,7 +54,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .constructions import DenseTransform, SparseColumnLayout, Transform
-from .core import InputBatch, InputVector, check_entry_budget
+from .core import InputBatch, check_entry_budget
 
 # Inputs handed to distortion_batch() may have been round-tripped
 # through files, so the unit-norm gate is looser than the generators' 1e-12.
@@ -180,6 +180,11 @@ def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
         yield start, Y
 
 
+def _check_one_row(x: InputBatch) -> None:
+    if len(x) != 1:
+        raise ValueError(f"a single input is a one-row batch, got {len(x)} rows")
+
+
 def _held(transform: Transform) -> Transform:
     """``transform``, with a dense one's entries read and so kept: a
     transform applied vector by vector is drawn once, not once per vector."""
@@ -188,26 +193,27 @@ def _held(transform: Transform) -> Transform:
     return transform
 
 
-def apply(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> np.ndarray:
-    """Exact float64 linear map y = Rx: a batch of one of the projection kernel.
+def apply(transform: Transform, x: InputBatch, counter: WorkCounter | None = None) -> np.ndarray:
+    """Exact float64 map y = Rx of the one-row batch ``x``: the kernel on one row.
 
     A dense transform's entries are read, and so kept on it, as by
     :func:`distortion`.
     """
-    xs = x.batch()
-    _check_dimension(transform, xs)
-    [(_, Y)] = _project(_held(transform), xs, counter)
+    _check_one_row(x)
+    _check_dimension(transform, x)
+    [(_, Y)] = _project(_held(transform), x, counter)
     return Y[0]
 
 
-def distortion(transform: Transform, x: InputVector, counter: WorkCounter | None = None) -> float:
-    """Squared-norm distortion delta = |Rx|^2 - 1 for a unit vector x: a batch of one.
+def distortion(transform: Transform, x: InputBatch, counter: WorkCounter | None = None) -> float:
+    """Squared-norm distortion delta = |Rx|^2 - 1 of the one-row batch ``x``, a unit vector.
 
     A dense transform's entries are read, and so kept on it: a caller that
     goes vector by vector draws the transform once, at the memory cost of
     the whole k x d transform.
     """
-    return float(distortion_batch(_held(transform), x.batch(), counter)[0])
+    _check_one_row(x)
+    return float(distortion_batch(_held(transform), x, counter)[0])
 
 
 def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter | None = None) -> np.ndarray:

@@ -159,11 +159,15 @@ class SparseColumnLayout:
 Transform = Union[DenseTransform, SparseColumnLayout]
 
 
-def check_transform_budget(kind: ConstructionKind, k: int, d: int) -> None:
-    """Raise ResourceLimitError when a k x d transform of ``kind`` would
-    exceed the entry budget: its (d, s) layout for the graph construction,
-    its (k, d) entries for the others."""
+def check_transform(kind: ConstructionKind, k: int, d: int) -> None:
+    """Check that a k x d transform of ``kind`` can be drawn: a positive shape
+    and s <= k for the graph construction (ValueError), then the entry budget
+    of its (d, s) layout or its (k, d) entries (ResourceLimitError)."""
+    if k < 1 or d < 1:
+        raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
     if isinstance(kind, GraphSparse):
+        if kind.s > k:
+            raise ValueError(f"column sparsity s={kind.s} exceeds k={k}")
         check_entry_budget("graph layout", d, kind.s)
     else:
         check_entry_budget("dense transform", k, d)
@@ -199,11 +203,7 @@ def sample_transform(kind: ConstructionKind, k: int, d: int, seed: SeedSpec) -> 
     sqrt(3/k), and a sign bit b becomes 2b - 1, so every stored value is
     exactly one of the listed ones.
     """
-    if k < 1 or d < 1:
-        raise ValueError(f"transform shape must be positive, got k={k}, d={d}")
-    if isinstance(kind, GraphSparse) and kind.s > k:
-        raise ValueError(f"column sparsity s={kind.s} exceeds k={k}")
-    check_transform_budget(kind, k, d)
+    check_transform(kind, k, d)
     if isinstance(kind, GraphSparse):
         rng = derive_stream(seed)
         rows = sample_without_replacement(k, kind.s, rng, count=d)

@@ -37,9 +37,9 @@ one-call convention, bit for bit.
 
 Each input family has one draw convention, defined by its batch sampler
 (:func:`sample_unit_sphere_batch`, :func:`sample_sparse_unit_batch`); a
-single draw is a batch of one.  Both normalise their draws in place, a
-few MB of rows at a time; each row's norm is bit for bit the one
-``np.linalg.norm`` gives over the whole block, so values are unchanged.
+single input is a one-row :class:`InputBatch`.  Both normalise their draws
+in place, a few MB of rows at a time; each row's norm is bit for bit the
+one ``np.linalg.norm`` gives over the whole block, so values are unchanged.
 
 All floating-point arithmetic is float64 throughout.
 """
@@ -148,31 +148,6 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class InputVector:
-    """Unit-norm input vector, stored dense or as sorted sparse pairs.
-
-    Dense storage: ``indices is None`` and ``values`` has length ``dim``.
-    Sparse storage: ``indices`` is strictly increasing with values aligned.
-    Checked as a batch of one (:class:`InputBatch`); arrays are immutable.
-    """
-
-    dim: int
-    values: np.ndarray
-    indices: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.batch()
-
-    def batch(self) -> "InputBatch":
-        """This vector as a batch of one, made of views."""
-        return InputBatch(self.dim, self.values[None], None if self.indices is None else self.indices[None])
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
 class InputBatch:
     """``n`` inputs of one storage as one block, checked once.
 
@@ -180,10 +155,10 @@ class InputBatch:
     Sparse storage: ``values`` and ``indices`` have shape (n, t), each index
     row strictly increasing in [0, dim); the indices may be of any integer
     type (the sampler's are the narrowest that fits dim, see
-    :func:`sample_sparse_unit_batch`).  ``batch[i]`` is row i as an
-    :class:`InputVector` of views.  Arrays are treated as immutable, so the
-    row norms and the sparse support (the sorted distinct columns the
-    indices use) are computed on first use and cached.
+    :func:`sample_sparse_unit_batch`).  A single input is a one-row batch:
+    ``batch[i]`` is row i as one, made of views.  Arrays are treated as
+    immutable, so the row norms and the sparse support (the sorted distinct
+    columns the indices use) are computed on first use and cached.
     """
 
     dim: int
@@ -212,6 +187,11 @@ class InputBatch:
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def nnz(self) -> int:
+        """Stored values per row; perfbench's tracer reads it of each row."""
+        return self.values.shape[1]
+
     @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean norm of each row, computed on first use and kept (read-only)."""
@@ -233,8 +213,10 @@ class InputBatch:
         support.setflags(write=False)
         return support
 
-    def __getitem__(self, i: int) -> InputVector:
-        return InputVector(self.dim, self.values[i], None if self.indices is None else self.indices[i])
+    def __getitem__(self, i: int) -> InputBatch:
+        """Row i as a one-row batch of views (perfbench's tracer iterates
+        batches so); an out-of-range i raises IndexError, ending iteration."""
+        return InputBatch(self.dim, self.values[i][None], None if self.indices is None else self.indices[i][None])
 
 
 def _normalize_rows(block: np.ndarray) -> None:
@@ -247,9 +229,9 @@ def _normalize_rows(block: np.ndarray) -> None:
         part /= np.linalg.norm(part, axis=1, keepdims=True)
 
 
-def sample_unit_sphere(d: int, seed: SeedSpec) -> InputVector:
-    """Uniform draw from the unit sphere in R^d: a batch of one."""
-    return sample_unit_sphere_batch(d, 1, seed)[0]
+def sample_unit_sphere(d: int, seed: SeedSpec) -> InputBatch:
+    """Uniform draw from the unit sphere in R^d: a one-row batch."""
+    return sample_unit_sphere_batch(d, 1, seed)
 
 
 def sample_unit_sphere_batch(d: int, count: int, seed: SeedSpec) -> InputBatch:

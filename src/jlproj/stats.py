@@ -23,14 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .apply import distortion_batch
-from .constructions import sample_transform
+from .constructions import check_transform, sample_transform
 from .core import (
     AchlioptasSparse,
     ConstructionKind,
     DenseGaussian,
+    GraphSparse,
     Rademacher,
     SeedSpec,
-    check_entry_budget,
     derive_stream,
     sample_unit_sphere_batch,
     subset_blocks,
@@ -116,16 +116,15 @@ def sample_collision_counts(k: int, s: int, num_pairs: int, seed: SeedSpec) -> n
     layout draws its rows before its signs, so the rows are streamed here
     one draw chunk at a time from the same draws
     (:func:`~jlproj.core.subset_blocks`), and the signs are never drawn;
-    the layout's entry budget still applies.  Pair m's count is the number
-    of column 2m+1's rows found in a (pairs, k) membership mask of column
-    2m's, so the scratch is one chunk's mask; a pair split across two
-    chunks carries its first column over.
+    the layout's checks (:func:`~jlproj.constructions.check_transform`)
+    still apply.  Pair m's count is the number of column 2m+1's rows found
+    in a (pairs, k) membership mask of column 2m's, so the scratch is one
+    chunk's mask; a pair split across two chunks carries its first column
+    over.
     """
     if s < 1 or num_pairs < 1:
         raise ValueError(f"need s >= 1 and num_pairs >= 1, got s={s}, num_pairs={num_pairs}")
-    if s > k:
-        raise ValueError(f"column sparsity s={s} exceeds k={k}")
-    check_entry_budget("graph layout", 2 * num_pairs, s)
+    check_transform(GraphSparse(s), k, 2 * num_pairs)
     counts = np.empty(num_pairs, dtype=np.int64)
     left = None  # even column whose partner starts the next block
     for start, block in subset_blocks(k, s, derive_stream(seed), 2 * num_pairs):

@@ -17,7 +17,7 @@ from jlproj.core import (
     AchlioptasSparse,
     DenseGaussian,
     GraphSparse,
-    InputVector,
+    InputBatch,
     Rademacher,
     SeedSpec,
     sample_sparse_unit_batch,
@@ -46,7 +46,7 @@ def test_criterion_01_exact_zero_distortion_at_t1():
     layout = sample_transform(GraphSparse(16), 50, D, SeedSpec(101, 0))
     worst = 0.0
     for i in range(1000):
-        x = InputVector(dim=D, values=np.array([1.0]), indices=np.array([i]))
+        x = InputBatch(dim=D, values=np.array([[1.0]]), indices=np.array([[i]]))
         worst = max(worst, abs(distortion(layout, x)))
     _report(1, "zero distortion for one-hot inputs", worst <= 1e-12, f"max|delta|={worst:.3g}")
 

@@ -18,7 +18,6 @@ from jlproj.core import (
     DenseGaussian,
     GraphSparse,
     InputBatch,
-    InputVector,
     Rademacher,
     ResourceLimitError,
     SeedSpec,
@@ -40,11 +39,11 @@ def _fixed_dense(entries):
 
 
 def _densify(x):
-    """x as a dense length-dim array."""
+    """The one-row batch x as a dense length-dim array."""
     if x.indices is None:
-        return x.values
+        return x.values[0]
     dense = np.zeros(x.dim)
-    dense[x.indices] = x.values
+    dense[x.indices[0]] = x.values[0]
     return dense
 
 
@@ -59,28 +58,28 @@ def _traced_peak(transform, xs):
 
 
 def _stack(xs):
-    """One batch of vectors that share storage and nnz."""
-    indices = None if xs[0].indices is None else np.array([x.indices for x in xs])
-    return InputBatch(xs[0].dim, np.array([x.values for x in xs]), indices)
+    """One batch of one-row batches that share storage and nnz."""
+    indices = None if xs[0].indices is None else np.concatenate([x.indices for x in xs])
+    return InputBatch(xs[0].dim, np.concatenate([x.values for x in xs]), indices)
 
 
 class TestApply:
     def test_hand_multiplication(self):
         """[[1,0,2],[0,-1,1]] applied to (1,1,1) gives (3, 0)."""
         t = _fixed_dense([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
-        x = InputVector(dim=3, values=np.ones(3))
+        x = InputBatch(dim=3, values=np.ones((1, 3)))
         assert np.array_equal(apply(t, x), np.array([3.0, 0.0]))
 
     def test_hand_multiplication_sparse_storage(self):
         t = _fixed_dense([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
-        x = InputVector(dim=3, values=np.array([1.0, 1.0]), indices=np.array([0, 2]))
+        x = InputBatch(dim=3, values=np.array([[1.0, 1.0]]), indices=np.array([[0, 2]]))
         assert np.array_equal(apply(t, x), np.array([3.0, 1.0]))
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: type(k).__name__)
     def test_zero_vector_maps_to_zero(self, kind):
         transform = sample_transform(kind, 10, 30, SeedSpec(0, 0))
-        dense_zero = InputVector(dim=30, values=np.zeros(30))
-        sparse_zero = InputVector(dim=30, values=np.zeros(2), indices=np.array([1, 5]))
+        dense_zero = InputBatch(dim=30, values=np.zeros((1, 30)))
+        sparse_zero = InputBatch(dim=30, values=np.zeros((1, 2)), indices=np.array([[1, 5]]))
         assert np.array_equal(apply(transform, dense_zero), np.zeros(10))
         assert np.array_equal(apply(transform, sparse_zero), np.zeros(10))
 
@@ -88,7 +87,7 @@ class TestApply:
         """A one-hot input reproduces one column: s entries of +-1/sqrt(s), norm 1."""
         layout = sample_transform(GraphSparse(16), 50, 200, SeedSpec(1, 0))
         for i in (0, 17, 199):
-            x = InputVector(dim=200, values=np.array([1.0]), indices=np.array([i]))
+            x = InputBatch(dim=200, values=np.array([[1.0]]), indices=np.array([[i]]))
             y = apply(layout, x)
             assert np.count_nonzero(y) == 16
             assert np.all(np.isin(np.abs(y[y != 0.0]), 0.25))
@@ -97,7 +96,18 @@ class TestApply:
     def test_dimension_mismatch(self):
         transform = sample_transform(Rademacher(), 4, 8, SeedSpec(0, 1))
         with pytest.raises(ValueError, match=r"^input dimension 9 does not match the transform's d=8$"):
-            apply(transform, InputVector(dim=9, values=np.zeros(9)))
+            apply(transform, InputBatch(dim=9, values=np.zeros((1, 9))))
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_single_input_calls_reject_other_row_counts(self, rows):
+        """apply and distortion take a one-row batch; any other is refused
+        before the transform's entries are drawn."""
+        transform = sample_transform(Rademacher(), 4, 8, SeedSpec(0, 1))
+        xs = sample_unit_sphere_batch(8, rows, SeedSpec(0, 2))
+        for project in (apply, distortion):
+            with pytest.raises(ValueError, match=rf"^a single input is a one-row batch, got {rows} rows$"):
+                project(transform, xs)
+        assert "entries" not in vars(transform)
 
 
 class TestDistortion:
@@ -108,13 +118,13 @@ class TestDistortion:
 
     def test_one_hot_zero_distortion(self):
         layout = sample_transform(GraphSparse(16), 50, 500, SeedSpec(2, 1))
-        x = InputVector(dim=500, values=np.array([1.0]), indices=np.array([123]))
+        x = InputBatch(dim=500, values=np.array([[1.0]]), indices=np.array([[123]]))
         assert abs(distortion(layout, x)) <= 1e-12
 
     def test_rejects_non_unit_input(self):
         t = sample_transform(DenseGaussian(), 5, 20, SeedSpec(2, 2))
         with pytest.raises(ValueError, match=rf"^distortion requires a unit vector, got \|x\| = {math.sqrt(5.0)!r}$"):
-            distortion(t, InputVector(dim=20, values=np.full(20, 0.5)))
+            distortion(t, InputBatch(dim=20, values=np.full((1, 20), 0.5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -122,10 +132,10 @@ class TestDistortion:
         """A NaN or infinite norm fails the unit-norm gate."""
         t = sample_transform(DenseGaussian(), 5, 3, SeedSpec(2, 5))
         if sparse:
-            x = InputVector(dim=3, values=np.array([bad]), indices=np.array([1]))
+            x = InputBatch(dim=3, values=np.array([[bad]]), indices=np.array([[1]]))
             xs = InputBatch(3, np.array([[1.0], [bad]]), np.array([[0], [1]]))
         else:
-            x = InputVector(dim=3, values=np.array([bad, 0.0, 0.0]))
+            x = InputBatch(dim=3, values=np.array([[bad, 0.0, 0.0]]))
             xs = InputBatch(3, np.array([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="unit"):
             distortion(t, x)
@@ -135,7 +145,7 @@ class TestDistortion:
     def test_tolerates_round_trip_jitter(self):
         t = sample_transform(DenseGaussian(), 5, 20, SeedSpec(2, 3))
         x = sample_unit_sphere(20, SeedSpec(2, 4))
-        jittered = InputVector(dim=20, values=x.values * (1.0 + 5e-10))
+        jittered = InputBatch(dim=20, values=x.values * (1.0 + 5e-10))
         distortion(t, jittered)
 
     def test_gaussian_unbiased(self):
@@ -158,7 +168,7 @@ class TestDistortionBatch:
     def test_singleton_matches_scalar_bitwise(self):
         t = sample_transform(AchlioptasSparse(), 20, 64, SeedSpec(0, 3))
         x = sample_unit_sphere(64, SeedSpec(0, 4))
-        out = distortion_batch(t, x.batch())
+        out = distortion_batch(t, x)
         assert out.dtype == np.float64 and out.shape == (1,)
         assert out[0] == distortion(t, x)
 
@@ -185,7 +195,7 @@ class TestPathEquivalence:
         d = 300
         transform = sample_transform(kind, 24, d, SeedSpec(40 + seed, 0))
         x = sample_sparse_unit_batch(d, 20, 1, SeedSpec(40 + seed, 1))[0]
-        dense_x = InputVector(dim=d, values=_densify(x))
+        dense_x = InputBatch(dim=d, values=_densify(x)[None])
         y_sparse = apply(transform, x)
         y_dense = apply(transform, dense_x)
         assert np.max(np.abs(y_sparse - y_dense)) <= 1e-12
@@ -202,7 +212,7 @@ class TestPathEquivalence:
         transform = sample_transform(KINDS[kind_index], 16, 64, SeedSpec(50, kind_index))
         x = sample_unit_sphere(64, SeedSpec(50, 99))
         y = apply(transform, x)
-        scaled = apply(transform, InputVector(dim=64, values=c * x.values))
+        scaled = apply(transform, InputBatch(dim=64, values=c * x.values))
         lhs = float(scaled @ scaled)
         rhs = c * c * float(y @ y)
         assert abs(lhs - rhs) <= 8.0 * np.spacing(max(abs(lhs), abs(rhs)))
@@ -249,8 +259,8 @@ class TestBatchMatchesRows:
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_batch_agrees_with_its_rows(self, data):
-        """A batch is accepted exactly when each row is accepted as an
-        InputVector, and its deltas are its rows' deltas (graph bitwise,
+        """A batch is accepted exactly when each row is accepted as a
+        one-row batch, and its deltas are its rows' deltas (graph bitwise,
         dense transforms within 1e-12)."""
         dim = data.draw(st.integers(min_value=1, max_value=6), label="dim")
         n = data.draw(st.integers(min_value=1, max_value=4), label="n")
@@ -270,7 +280,7 @@ class TestBatchMatchesRows:
 
         accepted = _accepted(lambda: InputBatch(dim, values, indices))
         rows = [
-            _accepted(lambda i=i: InputVector(dim, values[i], None if indices is None else indices[i]))
+            _accepted(lambda i=i: InputBatch(dim, values[i][None], None if indices is None else indices[i][None]))
             for i in range(n)
         ]
         assert accepted == all(rows)
@@ -289,8 +299,8 @@ class TestBatchMatchesRows:
 
 def _bincount_reference(layout, x):
     """Graph product of one vector: scatter its signed columns with bincount."""
-    idx = slice(None) if x.indices is None else x.indices
-    contrib = layout.signs[idx] * x.values[:, None]
+    idx = slice(None) if x.indices is None else x.indices[0]
+    contrib = layout.signs[idx] * x.values[0][:, None]
     y = np.bincount(layout.rows[idx].ravel(), weights=contrib.ravel(), minlength=layout.k)
     return y * layout.scale
 
@@ -615,7 +625,7 @@ class TestRowBlocks:
         """apply and distortion go one vector at a time, so they draw a
         fresh transform once and keep it, with the deltas of a fresh one."""
         xs = sample_unit_sphere_batch(self.D, 3, SeedSpec(93, 1))
-        fresh = [distortion_batch(sample_transform(kind, 13, self.D, SeedSpec(93, 0)), x.batch())[0] for x in xs]
+        fresh = [distortion_batch(sample_transform(kind, 13, self.D, SeedSpec(93, 0)), x)[0] for x in xs]
         for project in (apply, distortion):
             transform = sample_transform(kind, 13, self.D, SeedSpec(93, 0))
             project(transform, xs[0])

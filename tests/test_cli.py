@@ -254,6 +254,26 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("sampling started before the block was checked")
 
 
+def test_cdf_without_the_graph_construction_ignores_s_above_k(tmp_path):
+    """Only the graph construction needs s <= k, so cdf without it runs at k = 10 < s = 16."""
+    out = tmp_path / "c.csv"
+    argv = ["cdf", "--constructions", "Dense,Ach", "--k", "10", *_SMALL, "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert json.loads(out.with_suffix(".manifest.json").read_text())["config"]["s"] == 16
+
+
+@pytest.mark.parametrize("command", ["cdf", "sweep-t"])
+def test_graph_cell_with_s_above_k_exits_two_before_sampling(command, tmp_path, capsys, monkeypatch):
+    """The default s = 16 exceeds --k 10, so the graph cells are refused before any draw."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    assert cli_main([command, "--k", "10", *_SMALL, "--out", str(tmp_path / "g.csv")]) == 2
+    assert capsys.readouterr().err == "error: column sparsity s=16 exceeds k=10\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["sweep-s", "sweep-t", "sweep-k", "cdf"])
 def test_out_is_a_directory_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
     """--out naming an existing directory is refused in one line naming --out."""

@@ -16,7 +16,7 @@ from jlproj.constructions import (
     DenseTransform,
     ResourceLimitError,
     SparseColumnLayout,
-    check_transform_budget,
+    check_transform,
     sample_transform,
 )
 from jlproj.core import (
@@ -122,10 +122,10 @@ class TestGraphSparseLayout:
     def test_layout_budget_counts_d_times_s(self):
         """The graph construction stores d * s entries, so k * d above the
         budget passes and d * s above it is refused."""
-        check_transform_budget(GraphSparse(16), 1 << 20, 1 << 20)
+        check_transform(GraphSparse(16), 1 << 20, 1 << 20)
         d = (MAX_DENSE_ENTRIES >> 4) + 1
         with pytest.raises(ResourceLimitError, match=rf"^graph layout of {d}x16 entries exceeds the "):
-            check_transform_budget(GraphSparse(16), 1 << 20, d)
+            check_transform(GraphSparse(16), 1 << 20, d)
 
 
 class TestDenseKinds:

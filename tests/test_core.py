@@ -13,7 +13,6 @@ from jlproj import core
 from jlproj.core import (
     GraphSparse,
     InputBatch,
-    InputVector,
     SeedSpec,
     derive_stream,
     sample_sparse_unit_batch,
@@ -74,7 +73,7 @@ class TestUnitSphere:
     def test_dimension_one_is_sign(self):
         for stream in range(20):
             x = sample_unit_sphere(1, SeedSpec(0, stream))
-            assert x.values[0] in (1.0, -1.0)
+            assert x.values.shape == (1, 1) and x.values[0, 0] in (1.0, -1.0)
 
     def test_norm_at_large_dimension(self):
         xs = sample_unit_sphere_batch(10000, 1, SeedSpec(1, 0))
@@ -92,7 +91,7 @@ class TestUnitSphere:
     def test_coordinate_means_are_centered(self):
         """Monte Carlo: every coordinate mean within 4 SE of 0 (d=1000, 1e4 draws)."""
         d, n = 1000, 10_000
-        block = np.stack([v.values for v in sample_unit_sphere_batch(d, n, SeedSpec(11, 0))])
+        block = sample_unit_sphere_batch(d, n, SeedSpec(11, 0)).values
         means = block.mean(axis=0)
         se = block.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(means) <= 4.0 * se)
@@ -107,7 +106,7 @@ class TestSparseUnit:
 
     def test_full_support(self):
         xs = sample_sparse_unit_batch(50, 50, 1, SeedSpec(2, 1))
-        assert np.array_equal(xs[0].indices, np.arange(50))
+        assert np.array_equal(xs[0].indices, np.arange(50)[None])
         assert abs(xs.norms[0] ** 2 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d,t", [(10, 0), (10, 11), (0, 1)])
@@ -134,31 +133,11 @@ class TestSingleDrawIsBatchOfOne:
         assert single.values.tobytes() == batch.values.tobytes()
 
 
-class TestInputVectorValidation:
-    def test_dense_length_must_match(self):
-        with pytest.raises(ValueError):
-            InputVector(dim=4, values=np.zeros(3))
-
-    def test_sparse_indices_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            InputVector(dim=10, values=np.ones(2), indices=np.array([5, 3]))
-
-    def test_sparse_indices_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            InputVector(dim=10, values=np.ones(2), indices=np.array([3, 10]))
-
-    def test_misaligned_sparse_storage(self):
-        with pytest.raises(ValueError, match=r"^sparse indices and values must align$"):
-            InputVector(dim=10, values=np.ones(3), indices=np.array([1, 2]))
-
-    def test_sparse_indices_must_be_integers(self):
-        with pytest.raises(ValueError, match=r"^sparse indices must be integers, got float64$"):
-            InputVector(dim=3, values=np.array([1.0]), indices=np.array([1.7]))
-
+class TestGeneratorLaws:
     def test_support_marginals_uniform(self):
         """Each index appears with frequency 4 SE around t/d; chi-square at 0.001."""
         d, t, n = 100, 3, 100_000
-        idx = np.concatenate([v.indices for v in sample_sparse_unit_batch(d, t, n, SeedSpec(13, 0))])
+        idx = sample_sparse_unit_batch(d, t, n, SeedSpec(13, 0)).indices.ravel()
         counts = np.bincount(idx, minlength=d)
         p = t / d
         se = np.sqrt(n * p * (1 - p))
@@ -216,15 +195,17 @@ class TestInputBatch:
 
     def test_rows_are_views(self):
         batch = sample_sparse_unit_batch(50, 4, 6, SeedSpec(14, 0))
-        assert len(batch) == 6
+        assert len(batch) == 6 and batch.nnz == 4
         row = batch[2]
+        assert isinstance(row, InputBatch) and len(row) == 1
         assert row.dim == 50 and row.nnz == 4
         assert np.shares_memory(row.values, batch.values) and np.shares_memory(row.indices, batch.indices)
-        assert np.array_equal(row.values, batch.values[2]) and np.array_equal(row.indices, batch.indices[2])
+        assert np.array_equal(row.values, batch.values[2:3]) and np.array_equal(row.indices, batch.indices[2:3])
         dense = sample_unit_sphere_batch(7, 3, SeedSpec(14, 1))
-        assert dense[1].indices is None and np.shares_memory(dense[1].values, dense.values)
+        assert dense[1].indices is None and dense[1].nnz == 7 and np.shares_memory(dense[1].values, dense.values)
         with pytest.raises(IndexError):
             batch[6]
+        assert [len(r) for r in batch] == [1] * 6
 
 
 class TestBatchSupport:

@@ -52,7 +52,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(s=60),
             dict(t=2000, d=1000),
             dict(trials=0),
             dict(probes=(0.0, 0.5)),
@@ -68,6 +67,11 @@ class TestConfig:
     def test_sizes_must_be_positive(self, field):
         with pytest.raises(ValueError, match=r"^n, d, k must be positive$"):
             desk_scale_config(**{field: 0})
+
+    def test_s_must_be_positive(self):
+        """s >= 1 is the config's only check on s; s <= k is checked per graph cell."""
+        with pytest.raises(ValueError, match=r"^need s >= 1, got s=0$"):
+            desk_scale_config(s=0)
 
 
 class TestRequiredK:
@@ -173,6 +177,20 @@ class TestInputSparsitySweep:
         for row in (r for r in sparse_rows if r.axis_value == 1):
             assert abs(row.mean) <= 1e-12
             assert row.std <= 1e-12
+
+    @pytest.mark.parametrize("s,exact", [(1, True), (4, True), (16, True), (3, False), (6, False), (8, False)])
+    def test_t_equal_one_is_zero_only_when_the_scale_is_exact(self, s, exact):
+        """A t=1 graph delta is s * fl(1/sqrt(s))^2 - 1: exactly 0 when 1/sqrt(s)
+        is a power of two, a few ulp otherwise.  Probes 0.01 and 0.999 of
+        100 deltas are each trial's least and greatest."""
+        result = run_input_sparsity_sweep(_small_cfg(n=100, k=30, s=s, probes=(0.01, 0.999)), [1])
+        rows = [r for r in result.rows if r.construction == "Sparse"]
+        assert len(rows) == 2
+        for row in rows:
+            if exact:
+                assert row.mean == 0.0 and row.std == 0.0
+            else:
+                assert abs(row.mean) <= 1e-15 and row.std <= 1e-15
 
     def test_t_equal_two_has_positive_tail(self):
         result = run_input_sparsity_sweep(_small_cfg(trials=6), [2])

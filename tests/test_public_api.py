@@ -15,7 +15,6 @@ PUBLIC = [
     "GraphSparse",
     "GridSpec",
     "InputBatch",
-    "InputVector",
     "Rademacher",
     "ResourceLimitError",
     "SeedSpec",
