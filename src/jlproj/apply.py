@@ -1,9 +1,12 @@
-"""Projection and distortion: one batched kernel, one matrix product per chunk.
+"""Projection and distortion: one batched kernel that returns one ``(n, k)`` array.
 
-An :class:`~jlproj.core.InputBatch` is cut into chunks of consecutive rows,
-each capped by a fixed scratch budget.  A chunk is a row slice ``X`` of the
-batch (a view of the dense ``(c, d)`` block, or a CSR matrix that reads the
-slice's value rows in place, with its own int32 indices).
+The kernel fills and returns the whole C-ordered float64 output ``Y`` of an
+:class:`~jlproj.core.InputBatch`, ``Y[i] = R x_i``.  Only the input side is
+chunked: the batch is cut into row slices of consecutive rows, each capped
+by a fixed scratch budget, and each slice's product is written into its
+rows of ``Y``.  A slice ``X`` is a view of the dense ``(c, d)`` block, or a
+CSR matrix that reads the slice's value rows in place, with its own int32
+indices.
 
 A dense transform is projected in row blocks of at most
 ``_SCRATCH_BYTES // (8 d)`` rows (:meth:`~jlproj.constructions.
@@ -13,34 +16,35 @@ draw, so no whole ``k x d`` transform is held; once its ``entries`` have
 been read the blocks are views of them.  :func:`apply` and
 :func:`distortion` take one input, a one-row batch such as ``batch[i]``,
 and read them first, so a transform applied vector by vector is drawn
-once.  For a dense batch the whole ``(n, k)`` output is filled block by
-block, ``Y[:, a:b] = X @ block.T`` per chunk, and the graph construction
-multiplies each chunk by the ``(d, k)`` CSR matrix of its ±1 signs.
+once.  For a dense batch ``Y`` is filled block by block,
+``Y[start:end, a:b] = X @ block.T`` per slice, and the graph construction
+multiplies each slice by the ``(d, k)`` CSR matrix of its ±1 signs.
 
 A sparse batch meets every family through one C-ordered float64 ``(u, k)``
 support operator ``op``, whose row j is the transform's column at the
 batch's j-th support column (its ``u`` sorted distinct columns, cached on
 the batch): a dense transform's blocks fill it, and the graph construction
-scatters each column's ±1 signs into its ``s`` rows of zeros.  Each chunk
-is one CSR-by-dense product ``Y = X @ op`` with its indices remapped into
-the support.  The remap is monotone, so each row still adds its terms in
+scatters each column's ±1 signs into its ``s`` rows of zeros.  Each slice
+is one CSR-by-dense product ``X @ op`` with its indices remapped into the
+support.  The remap is monotone, so each row still adds its terms in
 index order and every delta is bitwise that of the whole operator; a batch
 that uses all ``d`` columns takes the whole ``(d, k)`` operator.  The
-graph construction's ``1/sqrt(s)`` scale is applied to ``Y`` afterwards.
+graph construction's ``1/sqrt(s)`` scale is applied to ``Y`` once, at the
+end.
 
 Accumulation order: for the graph construction each output coordinate adds
 its terms in the input's index order, in both kernels, so results do not
-depend on the chunking and a sparse input and its densified copy agree
+depend on the slicing and a sparse input and its densified copy agree
 bitwise.  The support operator's zeros add ±0 to a sum that starts at +0,
 which leaves the sum unchanged, so they move no bit either (a finite input
 is assumed: an infinite or NaN entry times a zero is NaN, and the
 unit-norm gate of :func:`distortion_batch` rejects such rows).  For a dense
-transform the product is one BLAS call per chunk and block on a dense
+transform the product is one BLAS call per slice and block on a dense
 batch, whose summation order is the library's.
 
-Epilogue: each chunk's squared norms |y|^2 come from one batched
-``(1, k) @ (k, 1)`` matmul over its rows, which runs the same dot kernel
-per row as ``y @ y``, so deltas are bitwise those of a per-row loop.  The
+Epilogue: the squared norms |y|^2 of all rows come from one batched
+``(1, k) @ (k, 1)`` matmul over ``Y``, which runs the same dot kernel per
+row as ``y @ y``, so deltas are bitwise those of a per-row loop.  The
 unit-norm gate reads the batch's cached row norms
 (:attr:`~jlproj.core.InputBatch.norms`), so the norms of a batch shared
 by many transforms are computed once.
@@ -60,8 +64,8 @@ from .core import InputBatch, check_entry_budget
 # through files, so the unit-norm gate is looser than the generators' 1e-12.
 UNIT_NORM_TOL = 1e-9
 
-# Bytes of a chunk's input rows plus its output, and of one row block of a
-# dense transform: at d = 10^4 a dense chunk holds about 100 rows and a
+# Bytes of an input slice's rows plus its product, and of one row block of
+# a dense transform: at d = 10^4 a dense slice holds about 100 rows and a
 # block 104, so a paper-scale batch of 5000 never has a CSR copy, nor a
 # k = 400 transform, held as one block.
 _SCRATCH_BYTES = 1 << 23
@@ -99,85 +103,60 @@ def _operator(transform: Transform, xs: InputBatch) -> np.ndarray:
     return op
 
 
-def _dense_products(transform: DenseTransform, X: np.ndarray, rows: int):
-    """(start, Y) per chunk of ``rows`` rows of the dense block ``X``: the
-    whole (n, k) product is filled one transform block at a time,
-    ``Y[:, a:b] = X_chunk @ block.T``, then handed out in chunks."""
-    n = len(X)
-    Y = np.empty((n, transform.k))
-    for a, block in transform.row_blocks(_block_rows(transform)):
-        for start in range(0, n, rows):
-            Y[start : start + rows, a : a + len(block)] = X[start : start + rows] @ block.T
-    for start in range(0, n, rows):
-        yield start, Y[start : start + rows]
-
-
-def _graph_dense_products(layout: SparseColumnLayout, X: np.ndarray, rows: int):
-    """(start, Y) per chunk of ``rows`` rows of the dense block ``X``, each
-    one product with the (d, k) CSR matrix of the layout's ±1 signs."""
-    d, s = layout.d, layout.s
-    signs = csr_array((layout.signs.ravel(), layout.rows.ravel(), np.arange(0, d * s + 1, s)), shape=(d, layout.k))
-    for start in range(0, len(X), rows):
-        # A dense-by-CSR product comes back transposed; rows must be
-        # contiguous, or the epilogue's dot takes another summation kernel.
-        yield start, np.ascontiguousarray(X[start : start + rows] @ signs)
-
-
-def _chunk_products(transform: Transform, xs: InputBatch, rows: int):
-    """(start, Y) per chunk of ``rows`` rows of the sparse batch ``xs``,
-    each one CSR-by-dense product with its support operator."""
-    op = _operator(transform, xs)
-    # Position of each support column in the operator; only those are read.
-    pos = np.empty(xs.dim, dtype=np.int32)
-    pos[xs.support] = np.arange(len(op), dtype=np.int32)
-    n, nnz = xs.values.shape
-    indptr = np.arange(min(rows, n) + 1, dtype=np.int32) * nnz
-    for start in range(0, n, rows):
-        values = xs.values[start : start + rows]
-        c = len(values)
-        # int32 indices and indptr keep scipy from widening the indices to
-        # int64.  They and the values are set on an empty array: the
-        # constructor's check would copy values that view less than half the
-        # batch (its prune), so the chunk reads the batch's value rows in place.
-        X = csr_array((c, len(op)))
-        X.data, X.indices, X.indptr = values.ravel(), pos[xs.indices[start : start + rows]].ravel(), indptr[: c + 1]
-        Y = X @ op
-        # Drop this chunk's CSR before Y is handed on, so that it is not
-        # held while the next chunk's is built.
-        del X
-        yield start, Y
-
-
 def _check_dimension(transform: Transform, xs: InputBatch) -> None:
     if xs.dim != transform.d:
         raise ValueError(f"input dimension {xs.dim} does not match the transform's d={transform.d}")
 
 
-def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None):
-    """(start, Y) per chunk of rows of ``xs``, whose dimension the caller
-    checked; Y is C-contiguous with Y[i] = R xs[start + i].
+def _project(transform: Transform, xs: InputBatch, counter: WorkCounter | None) -> np.ndarray:
+    """C-ordered float64 (n, k) array Y with Y[i] = R xs[i], for ``xs``
+    whose dimension the caller checked.
 
-    The products use only the columns of each input's support: nnz(x) * s
-    stored entries of the graph construction, k * nnz(x) of a dense
-    transform.  A dense transform is projected one row block at a time: one
-    whose entries have not been read is drawn afresh on each call, and at
-    most one of its blocks is held.
+    Y is held whole; only the input side is chunked, in row slices of
+    ``rows`` rows under the scratch budget, and each slice's product is
+    written into its rows of Y.  The products use only the columns of each
+    input's support: nnz(x) * s stored entries of the graph construction,
+    k * nnz(x) of a dense transform.  A dense transform is projected one
+    row block at a time: one whose entries have not been read is drawn
+    afresh on each call, and at most one of its blocks is held.
     """
     graph = isinstance(transform, SparseColumnLayout)
     n, nnz = xs.values.shape
     rows = max(1, _SCRATCH_BYTES // (8 * ((1 if xs.indices is None else 2) * nnz + transform.k)))
+    Y = np.empty((n, transform.k))
     if xs.indices is not None:
-        products = _chunk_products(transform, xs, rows)
+        op = _operator(transform, xs)
+        # Position of each support column in the operator; only those are read.
+        pos = np.empty(xs.dim, dtype=np.int32)
+        pos[xs.support] = np.arange(len(op), dtype=np.int32)
+        indptr = np.arange(min(rows, n) + 1, dtype=np.int32) * nnz
+        for start in range(0, n, rows):
+            values = xs.values[start : start + rows]
+            c = len(values)
+            # int32 indices and indptr keep scipy from widening the indices to
+            # int64.  They and the values are set on an empty array: the
+            # constructor's check would copy values that view less than half the
+            # batch (its prune), so the slice reads the batch's value rows in place.
+            X = csr_array((c, len(op)))
+            X.data, X.indices, X.indptr = values.ravel(), pos[xs.indices[start : start + rows]].ravel(), indptr[: c + 1]
+            Y[start : start + c] = X @ op
     elif graph:
-        products = _graph_dense_products(transform, xs.values, rows)
+        indptr = np.arange(0, transform.d * transform.s + 1, transform.s)
+        signs = csr_array((transform.signs.ravel(), transform.rows.ravel(), indptr), shape=(transform.d, transform.k))
+        for start in range(0, n, rows):
+            # A dense-by-CSR product comes back transposed; its copy into Y
+            # makes the rows contiguous, or the epilogue's dot would take
+            # another summation kernel.
+            Y[start : start + rows] = xs.values[start : start + rows] @ signs
     else:
-        products = _dense_products(transform, xs.values, rows)
-    for start, Y in products:
-        if graph:
-            Y *= transform.scale
-        if counter is not None:
-            counter.entries_touched += len(Y) * nnz * (transform.s if graph else transform.k)
-        yield start, Y
+        for a, block in transform.row_blocks(_block_rows(transform)):
+            for start in range(0, n, rows):
+                Y[start : start + rows, a : a + len(block)] = xs.values[start : start + rows] @ block.T
+    if graph:
+        Y *= transform.scale
+    if counter is not None:
+        counter.entries_touched += n * nnz * (transform.s if graph else transform.k)
+    return Y
 
 
 def _check_one_row(x: InputBatch) -> None:
@@ -201,8 +180,7 @@ def apply(transform: Transform, x: InputBatch, counter: WorkCounter | None = Non
     """
     _check_one_row(x)
     _check_dimension(transform, x)
-    [(_, Y)] = _project(_held(transform), x, counter)
-    return Y[0]
+    return _project(_held(transform), x, counter)[0]
 
 
 def distortion(transform: Transform, x: InputBatch, counter: WorkCounter | None = None) -> float:
@@ -221,7 +199,8 @@ def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter 
 
     The batch's dimension is checked first, then every row's norm (cached
     on the batch) must be within UNIT_NORM_TOL of 1 (a NaN or infinite norm
-    fails); the rows are then projected chunk by chunk.  A sampled dense
+    fails); the rows are then projected into one (n, k) array, whose squared
+    row norms come from one batched matmul.  A sampled dense
     transform whose entries have not been read is drawn again, row block
     by row block, on every call: a caller that projects one transform onto
     several batches reads its ``entries`` once first, or stacks the batches.
@@ -231,9 +210,7 @@ def distortion_batch(transform: Transform, xs: InputBatch, counter: WorkCounter 
     bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         raise ValueError(f"distortion requires a unit vector, got |x| = {float(norms[bad][0])!r}")
-    deltas = np.empty(len(xs))
-    for start, Y in _project(transform, xs, counter):
-        # Per row, numpy's matmul runs the same dot kernel as y @ y (an
-        # einsum would sum in another order), so deltas are bitwise unchanged.
-        deltas[start : start + len(Y)] = np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] - 1.0
-    return deltas
+    Y = _project(transform, xs, counter)
+    # Per row, numpy's matmul runs the same dot kernel as y @ y (an einsum
+    # would sum in another order), so deltas are bitwise a per-row loop's.
+    return np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] - 1.0

@@ -11,8 +11,9 @@ success, 1 when `verify` finds failing checks, 2 on invalid arguments
 (including a missing output directory, a sweep's empty --probes, an
 infinite or out-of-order cdf grid or tail table, and a swept axis that
 is empty or repeats a value, each checked before any sampling), 3
-when an input block, a cell's delta block, any cell's transform or a cdf
-grid would exceed the memory budget (also checked before any sampling),
+when an input block, a cell's delta block or (n, k) projection output,
+any cell's transform or a cdf grid would exceed the memory budget (also
+checked before any sampling),
 the machine refuses an allocation (MemoryError), or an output cannot be
 written (including an output path naming a directory, FIFO or other file
 that is not a regular file).  Outputs are written to a temp file and

@@ -46,6 +46,7 @@ All floating-point arithmetic is float64 throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -215,7 +216,12 @@ class InputBatch:
 
     def __getitem__(self, i: int) -> InputBatch:
         """Row i as a one-row batch of views (perfbench's tracer iterates
-        batches so); an out-of-range i raises IndexError, ending iteration."""
+        batches so); an out-of-range i raises IndexError, ending iteration.
+        Only one integer row is an index: a slice raises TypeError."""
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError(f"an input batch is indexed by one integer row, got {type(i).__name__}") from None
         return InputBatch(self.dim, self.values[i][None], None if self.indices is None else self.indices[i][None])
 
 

@@ -214,12 +214,14 @@ def _run_cells(cfg: ExperimentConfig, cells, draws, workers: int) -> list[np.nda
     batch.  Batches are drawn in the order of ``draws``, each when its
     cells start, and dropped when they end, so one input batch is held at
     a time; a batch's cells run on a pool of ``workers`` threads.  The delta
-    block's budget and every cell's transform (:func:`check_transform`: its
-    shape, s <= k and its budget) are checked before any batch is drawn.
+    block's budget, every cell's transform (:func:`check_transform`: its
+    shape, s <= k and its budget) and every cell's (n, k) projection output
+    are checked before any batch is drawn.
     """
     check_entry_budget("delta block", cfg.trials, cfg.n)
     for kind, k, _ in cells:
         check_transform(kind, k, cfg.d)
+        check_entry_budget("projection output", cfg.n, k)
     blocks = [None] * len(cells)
     for key, draw in draws.items():
         batch_cells = [(ci, kind, k) for ci, (kind, k, batch) in enumerate(cells) if batch == key]

@@ -305,6 +305,25 @@ def _bincount_reference(layout, x):
     return y * layout.scale
 
 
+class _RecordedRows(np.ndarray):
+    """A batch's values that record how many rows each row slice taken of
+    them holds; every slice is handed out as a plain ndarray view."""
+
+    def __getitem__(self, key):
+        part = np.asarray(super().__getitem__(key))
+        if isinstance(key, slice):
+            self.taken.append(len(part))
+        return part
+
+
+def _recording(xs):
+    """(batch, taken): ``xs`` over the same arrays, and the row counts of
+    the slices the kernel takes of its values, in order."""
+    values = xs.values.view(_RecordedRows)
+    values.taken = []
+    return InputBatch(xs.dim, values, xs.indices), values.taken
+
+
 def _mixed_inputs(d, seed):
     """A mixed list of inputs: one dense and one sparse batch."""
     return [sample_unit_sphere_batch(d, 4, SeedSpec(seed, 0)), sample_sparse_unit_batch(d, 3, 6, SeedSpec(seed, 1))]
@@ -351,8 +370,9 @@ class TestBatchedKernel:
         whole = distortion_batch(transform, xs)
         width = 2 * 5 if sparse else self.D
         monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (width + self.K))
-        assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
-        chunked = distortion_batch(transform, xs)
+        recorded, taken = _recording(xs)
+        chunked = distortion_batch(transform, recorded)
+        assert max(taken) == rows
         if isinstance(kind, GraphSparse):
             assert np.array_equal(chunked, whole)
         else:
@@ -364,12 +384,12 @@ class TestBatchedKernel:
         rows per chunk give the same bits as one chunk."""
         transform = sample_transform(kind, self.K, self.D, SeedSpec(62, 0))
         xs = sample_sparse_unit_batch(self.D, 5, 20, SeedSpec(62, 1))
-        whole = np.vstack([Y for _, Y in apply_module._project(transform, xs, None)])
+        whole = apply_module._project(transform, xs, None)
         for rows in (1, 2, 3):
             monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * 5 + self.K))
-            chunks = list(apply_module._project(transform, xs, None))
-            assert max(len(Y) for _, Y in chunks) == rows
-            assert np.array_equal(np.vstack([Y for _, Y in chunks]), whole)
+            recorded, taken = _recording(xs)
+            assert np.array_equal(apply_module._project(transform, recorded, None), whole)
+            assert max(taken) == rows
             assert np.array_equal(distortion_batch(transform, xs), [float(y @ y) - 1.0 for y in whole])
 
     @pytest.mark.parametrize("k", [1, 3, 50, 51, 400])
@@ -383,7 +403,8 @@ class TestBatchedKernel:
             xs = sample_sparse_unit_batch(self.D, 7, 40, SeedSpec(67, 1))
         else:
             xs = sample_unit_sphere_batch(self.D, 40, SeedSpec(67, 1))
-        Y = np.vstack([Y for _, Y in apply_module._project(transform, xs, None)])
+        Y = apply_module._project(transform, xs, None)
+        assert Y.shape == (len(xs), k) and Y.flags.c_contiguous
         assert np.array_equal(distortion_batch(transform, xs), [float(y @ y) - 1.0 for y in Y])
 
     def test_batch_norms_computed_once(self, monkeypatch):
@@ -456,8 +477,10 @@ class TestSupportOperator:
         transform = sample_transform(kind, self.K, d, SeedSpec(80, 0))
         if rows is not None:
             monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * xs.values.shape[1] + self.K))
-            assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
-        assert np.array_equal(distortion_batch(transform, xs), _full_operator_deltas(transform, xs))
+        recorded, taken = _recording(xs)
+        assert np.array_equal(distortion_batch(transform, recorded), _full_operator_deltas(transform, xs))
+        if rows is not None:
+            assert max(taken) == rows
 
     @pytest.mark.parametrize("rows", [1, 2, 3, None])
     @pytest.mark.parametrize(
@@ -473,8 +496,10 @@ class TestSupportOperator:
         transform = sample_transform(kind, self.K, d, SeedSpec(83, 0))
         if rows is not None:
             monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * t + self.K))
-            assert max(len(Y) for _, Y in apply_module._project(transform, xs, None)) == rows
-        assert np.array_equal(distortion_batch(transform, xs), distortion_batch(transform, wide))
+        recorded, taken = _recording(xs)
+        assert np.array_equal(distortion_batch(transform, recorded), distortion_batch(transform, wide))
+        if rows is not None:
+            assert max(taken) == rows
 
     @pytest.mark.parametrize("rows", [1, 2, 3, None])
     @pytest.mark.parametrize(
@@ -492,11 +517,13 @@ class TestSupportOperator:
         layout = sample_transform(GraphSparse(6), self.K, d, SeedSpec(84, 0))
         if rows is not None:
             monkeypatch.setattr(apply_module, "_SCRATCH_BYTES", rows * 8 * (2 * t + self.K))
-            assert max(len(Y) for _, Y in apply_module._project(layout, xs, None)) == rows
         expected = [float(y @ y) - 1.0 for y in (_bincount_reference(layout, x) for x in xs)]
+        recorded, taken = _recording(xs)
         counter = WorkCounter()
-        assert np.array_equal(distortion_batch(layout, xs, counter), expected)
+        assert np.array_equal(distortion_batch(layout, recorded, counter), expected)
         assert counter.entries_touched == n * t * 6
+        if rows is not None:
+            assert max(taken) == rows
 
     @pytest.mark.parametrize("d", [100, 5000])
     def test_graph_one_hot_rows_are_exactly_zero(self, d):
@@ -547,7 +574,8 @@ class TestSupportOperator:
 
     def test_graph_peak_is_the_operator_and_one_chunk(self):
         """A graph x sparse call holds its (u, k) operator, the layout's rows
-        and signs, and one chunk: its int32 indices and its output.  The
+        and signs, and one chunk: its int32 indices and its product.  The
+        whole (n, k) output (480 KB here) sits inside the 1 MiB slack.  The
         chunk reads the batch's value rows in place; scipy's copy of them
         (made for a view of less than half the batch) would add 4 MB here,
         and indices widened to int64 another 4 MB."""
@@ -559,7 +587,8 @@ class TestSupportOperator:
     def test_achlioptas_peak_is_the_operator_and_its_build_or_one_chunk(self):
         """A dense transform x sparse call holds its (u, k) operator and the
         larger of what builds it (one float64 row block and, for Achlioptas,
-        its byte draw) and one chunk (int32 indices and output)."""
+        its byte draw) and one chunk (int32 indices and product).  The whole
+        (n, k) output (480 KB here) sits inside the 1 MiB slack."""
         d, t, k = 10_000, 1000, 50
         xs, u, rows = self._chunked_batch(k)
         transform = sample_transform(AchlioptasSparse(), k, d, SeedSpec(86, 0))

@@ -385,6 +385,24 @@ def test_delta_block_budget_exits_three_before_sampling(command, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command", [["sweep-k", "--constructions", "Dense"], ["sweep-t"]], ids=["sweep-k", "sweep-t"]
+)
+def test_projection_output_budget_exits_three_before_sampling(command, tmp_path, capsys, monkeypatch):
+    """n * k above a 5000-entry budget: a cell's (n, k) projection output
+    is 100 x 60, while its transform, input and delta blocks fit."""
+    from jlproj import constructions, core
+
+    monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 5000)
+    monkeypatch.setattr(core, "derive_stream", _must_not_run)
+    monkeypatch.setattr(constructions, "derive_stream", _must_not_run)
+    argv = [*command, "--n", "100", "--d", "40", "--k", "60", "--t", "2", "--s", "2", "--trials", "1"]
+    assert cli_main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection output of 100x60 entries exceeds") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag,what", [("--grid-points", "CDF grid"), ("--tail-points", "tail grid")])
 def test_cdf_grid_budget_exits_three_before_sampling(flag, what, tmp_path, capsys, monkeypatch):
     """A cdf grid of 10^11 points is refused before any draw, in one line."""

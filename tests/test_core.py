@@ -207,6 +207,22 @@ class TestInputBatch:
             batch[6]
         assert [len(r) for r in batch] == [1] * 6
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_a_row_is_one_integer(self, sparse):
+        """A numpy integer or a negative index names one row; a slice is refused."""
+        if sparse:
+            batch = sample_sparse_unit_batch(50, 4, 6, SeedSpec(14, 0))
+        else:
+            batch = sample_unit_sphere_batch(5, 6, SeedSpec(14, 1))
+        for i, row in ((np.int64(3), 3), (-1, 5), (-6, 0)):
+            assert np.array_equal(batch[i].values, batch.values[row : row + 1])
+            if sparse:
+                assert np.array_equal(batch[i].indices, batch.indices[row : row + 1])
+        with pytest.raises(TypeError, match=r"^an input batch is indexed by one integer row, got slice$"):
+            batch[1:3]
+        with pytest.raises(IndexError):
+            batch[-7]
+
 
 class TestBatchSupport:
     def test_sorted_distinct_columns_kept_read_only(self):
